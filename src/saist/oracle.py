@@ -1,4 +1,4 @@
-"""Feasibility oracle for sigma-cones: seeded sampling first, exact engine second."""
+"""Feasibility oracle for sigma-cones: seeded sampling first, exact decisions second."""
 
 import enum
 from dataclasses import dataclass
@@ -8,7 +8,7 @@ import numpy as np
 
 from . import kernels
 from .cones import ConeSystem, sigma_cone
-from .decider import BuiltinDecider
+from .decider import BuiltinDecider, s_procedure_certificate
 from .errors import SolverUnavailable
 from .petc import DiscretizedSystem
 
@@ -23,6 +23,7 @@ class Status(enum.Enum):
 
 class Method(enum.Enum):
     SAMPLING = "sampling"
+    CERTIFICATE = "certificate"
     EXTERNAL = "external"
 
 
@@ -84,7 +85,7 @@ class ConeOracle:
         self.pool = _unit_pool(disc.n, pool_size, seed)
         self._verdicts = {}
         self._witnesses = {}
-        self.stats = {"sampling_hits": 0, "engine_calls": 0, "queries": 0}
+        self.stats = {"sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0}
 
     @property
     def alphabet(self):
@@ -96,16 +97,17 @@ class ConeOracle:
     def _record_witness(self, word, x):
         self._witnesses.setdefault(tuple(word), []).append(np.asarray(x, dtype=float))
 
-    def _sample(self, cone: ConeSystem, budget):
+    def _pool(self, cone: ConeSystem):
+        """Pool points plus the parent word's witnesses, their worst margins,
+        and the cone's (mats, signs) stacks."""
         mats, signs = cone.arrays()
         starts = [np.asarray(w) for w in self.witnesses(cone.word[:-1])]
         pts = np.vstack([self.pool] + [w[None, :] for w in starts]) if starts else self.pool
-        m = kernels.margins(pts, mats, signs)
-        worst = m.min(axis=1)
-        best = int(np.argmax(worst))
-        if worst[best] > self.witness_tol:
-            return pts[best] / np.linalg.norm(pts[best])
-        # locally improve the most promising starts
+        worst = kernels.margins(pts, mats, signs).min(axis=1)
+        return pts, worst, mats, signs
+
+    def _ascend(self, pts, worst, mats, signs, budget):
+        """Locally improve the most promising points; a witness or None."""
         order = np.argsort(worst)[::-1][:8]
         steps = max(20, budget // max(1, len(order)))
         for i in order:
@@ -116,11 +118,24 @@ class ConeOracle:
                 return x / np.linalg.norm(x)
         return None
 
+    def _store(self, key, v):
+        self._verdicts[key] = v
+        if v.is_feasible:
+            self._record_witness(key[0], v.witness)
+        return v
+
+    def _sampled(self, key, x):
+        self.stats["sampling_hits"] += 1
+        return self._store(key, FeasibilityVerdict(Status.FEASIBLE, x, Method.SAMPLING))
+
     def feasible(self, cone: ConeSystem, budget=None, policy=None) -> FeasibilityVerdict:
+        """Pool first.  Under the conservative policy a witness ascent follows
+        and a miss is Unknown.  When exactness is demanded, n <= 2 goes
+        straight to the engine, which is exact there; n >= 3 tries an
+        S-procedure emptiness certificate, then the ascent, then the engine."""
         budget = self.budget if budget is None else budget
         policy = self.policy if policy is None else policy
-        word = tuple(cone.word)
-        key = (word, cone.variant)
+        key = (tuple(cone.word), cone.variant)
         self.stats["queries"] += 1
         cached = self._verdicts.get(key)
         if cached is not None and (
@@ -128,18 +143,27 @@ class ConeOracle:
         ):
             return cached
         if cached is None:
-            x = self._sample(cone, budget)
-            if x is not None:
-                self.stats["sampling_hits"] += 1
-                v = FeasibilityVerdict(Status.FEASIBLE, x, Method.SAMPLING)
-                self._verdicts[key] = v
-                self._record_witness(word, x)
-                return v
-            v = FeasibilityVerdict(Status.UNKNOWN, None, Method.SAMPLING)
-            self._verdicts[key] = v
+            pool = self._pool(cone)
+            pts, worst, *_ = pool
+            best = int(np.argmax(worst))
+            if worst[best] > self.witness_tol:
+                return self._sampled(key, pts[best] / np.linalg.norm(pts[best]))
             if policy is Policy.CONSERVATIVE:
-                return v
-        # exactness demanded and sampling came up empty
+                x = self._ascend(*pool, budget)
+                if x is not None:
+                    return self._sampled(key, x)
+                return self._store(key, FeasibilityVerdict(Status.UNKNOWN, None, Method.SAMPLING))
+        # exactness demanded and nothing found so far (or a cached Unknown)
+        if cone.n >= 3:
+            if s_procedure_certificate(cone) is not None:
+                self.stats["certified"] += 1
+                return self._store(
+                    key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
+                )
+            if cached is None:
+                x = self._ascend(*pool, budget)
+                if x is not None:
+                    return self._sampled(key, x)
         if self.engine is None:
             raise SolverUnavailable(
                 "exact verdict required but no solver or decision engine is configured"
@@ -148,15 +172,12 @@ class ConeOracle:
         reply, witness = self.engine.check(cone)
         if reply == "sat":
             w = np.asarray(witness, dtype=float)
-            w = w / np.linalg.norm(w)
-            v = FeasibilityVerdict(Status.FEASIBLE, w, Method.EXTERNAL)
-            self._record_witness(word, w)
+            v = FeasibilityVerdict(Status.FEASIBLE, w / np.linalg.norm(w), Method.EXTERNAL)
         elif reply == "unsat":
             v = FeasibilityVerdict(Status.INFEASIBLE, None, Method.EXTERNAL)
         else:
             v = FeasibilityVerdict(Status.UNKNOWN, None, Method.EXTERNAL)
-        self._verdicts[key] = v
-        return v
+        return self._store(key, v)
 
     def feasible_word(self, word, policy=None) -> FeasibilityVerdict:
         word = tuple(word)
@@ -167,19 +188,3 @@ class ConeOracle:
         ):
             return cached
         return self.feasible(sigma_cone(self.disc, word), policy=policy)
-
-
-def feasible(cone, budget, policy, engine="builtin", seed=0, disc=None):
-    """One-shot feasibility query; see :class:`ConeOracle` for the stateful form."""
-    n = cone.n
-
-    class _Disc:  # minimal stand-in when only the cone is at hand
-        pass
-
-    d = disc
-    if d is None:
-        d = _Disc()
-        d.n = n
-        d.kbar = max(cone.word) if cone.word else 1
-    oracle = ConeOracle(d, engine=engine, budget=budget, seed=seed, policy=policy)
-    return oracle.feasible(cone, budget=budget, policy=policy)

@@ -1,12 +1,37 @@
 import numpy as np
 import pytest
 
-from saist import ConeOracle, ConeSystem, Policy, QuadConstraint, Sense, Status, discretize, trace
+from saist import (
+    ConeOracle,
+    ConeSystem,
+    PetcSystem,
+    Policy,
+    QuadConstraint,
+    Sense,
+    Status,
+    discretize,
+    relative_error_trigger,
+    trace,
+)
+from saist import kernels
 from saist.cones import sigma_cone
 from saist.decider import BuiltinDecider, decide_planar, decide_sphere_bnb
 from saist.errors import SolverUnavailable
 
 from test_petc import system_2d
+
+
+def system_3d(sigma=0.4):
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -1.0, -1.0]])
+    BK = np.array([[0.0], [0.0], [1.0]]) @ np.array([[-2.0, -1.0, -1.0]])
+    return PetcSystem(A=A, BK=BK, Qtrig=relative_error_trigger(sigma, 3), h=0.1, kbar=20)
+
+
+class NoEngine:
+    """An exact engine that must not be reached."""
+
+    def check(self, cone):
+        raise AssertionError("engine called")
 
 
 def cone_of(mats_senses):
@@ -45,14 +70,16 @@ def test_planar_decider_agrees_with_dense_sampling():
             sense = Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE
             cons.append((P, sense))
         cone = cone_of(cons)
-        reply, _ = decide_planar(cone)
+        reply, x = decide_planar(cone)
         vals = np.ones(len(pts), dtype=bool)
         for P, sense in cons:
             q = np.einsum("pi,ij,pj->p", pts, P, pts)
             vals &= (q > 1e-9) if sense is Sense.STRICT_POSITIVE else (q <= 0)
         sampled = bool(vals.any())
         if reply == "sat":
-            assert sampled or True  # decider may find measure-zero arcs
+            # the decider may find measure-zero arcs that sampling misses,
+            # but its witness must lie in the cone
+            assert cone.contains(x)
         else:
             assert not sampled
 
@@ -145,3 +172,33 @@ def test_verdict_determinism(disc):
         assert va.status == vb.status
         if va.witness is not None:
             np.testing.assert_array_equal(va.witness, vb.witness)
+
+
+def test_oracle_certifies_empty_3d_cone_without_engine():
+    oracle = ConeOracle(discretize(system_3d()), engine=NoEngine(), policy=Policy.EXACT_REQUIRED)
+    empty = cone_of([(np.diag([1.0, -1.0, -1.0]), Sense.STRICT_POSITIVE),
+                     (np.diag([-1.0, 1.0, -2.0]), Sense.STRICT_POSITIVE),
+                     (np.diag([0.5, 0.5, 3.0]), Sense.NON_POSITIVE)])
+    v = oracle.feasible(empty)
+    assert v.status is Status.INFEASIBLE
+    assert oracle.stats["engine_calls"] == 0 and oracle.stats["certified"] == 1
+
+
+def test_oracle_certifies_cached_unknown_3d_cone():
+    oracle = ConeOracle(discretize(system_3d()), engine=NoEngine(), pool_size=4, budget=10)
+    empty = cone_of([(-np.eye(3), Sense.STRICT_POSITIVE)])
+    assert oracle.feasible(empty).status is Status.UNKNOWN
+    v = oracle.feasible(empty, policy=Policy.EXACT_REQUIRED)
+    assert v.status is Status.INFEASIBLE
+    assert oracle.stats["engine_calls"] == 0 and oracle.stats["certified"] == 1
+
+
+def test_exact_2d_query_skips_the_ascent(disc, monkeypatch):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("witness ascent run in 2-D")
+
+    monkeypatch.setattr(kernels, "min_margin_ascent", no_ascent)
+    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    v = oracle.feasible(cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)]))
+    assert v.status is Status.INFEASIBLE
+    assert oracle.stats["engine_calls"] == 1 and oracle.stats["certified"] == 0
