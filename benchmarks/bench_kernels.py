@@ -1,8 +1,6 @@
-"""Compare the jit-compiled kernels against the pure-numpy fallback.
+"""Time the numpy kernels on fixed random inputs (best of five calls).
 
-Run twice to see both paths:
-    python3 benchmarks/bench_kernels.py
-    SAIST_NUMBA=0 python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import time
@@ -13,7 +11,7 @@ from saist import kernels
 
 
 def timeit(fn, *args, repeat=5):
-    fn(*args)  # warm up (includes jit compilation)
+    fn(*args)  # warm up
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -36,8 +34,6 @@ def main():
     N = 0.5 * (N + N.transpose(0, 2, 1))
     x0 = pts[0]
 
-    path = "numba" if kernels.USE_NUMBA else "numpy"
-    print(f"kernel path: {path}")
     t = timeit(kernels.margins, pts, mats, signs)
     print(f"margins        {n_points} pts x {n_constraints} constraints: {t * 1e3:8.3f} ms")
     t = timeit(kernels.min_margin_ascent, x0, mats, signs)

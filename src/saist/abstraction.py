@@ -5,7 +5,6 @@ length) or its prefix-compatible generalization (mixed lengths after targeted
 refinement).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,34 +50,31 @@ class TrafficAbstraction:
         return "\n".join(lines) + "\n"
 
 
-def _query_words(oracle, words, workers):
-    """Feasibility for many words; results in input order regardless of schedule."""
-    words = list(words)
-    if workers <= 1 or len(words) <= 1:
-        return [oracle.feasible_word(w) for w in words]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(oracle.feasible_word, words))
-
-
-def build_l_complete(disc, oracle, l: int, workers: int = 1) -> TrafficAbstraction:
+def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
     """Abstraction whose states are all feasible IST words of length l.
 
     Level j+1 candidates are w + (k,) where both w and w[1:] + (k,) passed
     level j; prefix monotonicity makes this exhaustive and it keeps the
-    query count near the final edge count.
+    query count near the final edge count.  Given `prev`, the l'-complete
+    abstraction of the same oracle for some l' <= l, the levels up to l'
+    are taken from it instead of being looked up again.
     """
     if l < 1:
         raise ValueError("depth must be >= 1")
     alphabet = list(oracle.alphabet)
-    level = []
-    verdicts = _query_words(oracle, [(k,) for k in alphabet], workers)
-    level = [(k,) for k, v in zip(alphabet, verdicts) if v.maybe_feasible]
-    for _ in range(1, l):
-        prev = set(level)
-        cands = [w + (k,) for w in level for k in alphabet if w[1:] + (k,) in prev]
-        verdicts = _query_words(oracle, cands, workers)
-        level = [w for w, v in zip(cands, verdicts) if v.maybe_feasible]
+    if prev is None:
+        level = [(k,) for k in alphabet if oracle.feasible_word((k,)).maybe_feasible]
+        depth = 1
+    elif prev.depth > l or any(len(w) != prev.depth for w in prev.states):
+        raise ValueError(f"prev must be l'-complete for some l' <= {l}")
+    else:
+        level, depth = list(prev.states), prev.depth
+    for _ in range(depth, l):
+        prev_level = set(level)
+        cands = [w + (k,) for w in level for k in alphabet if w[1:] + (k,) in prev_level]
+        level = [w for w in cands if oracle.feasible_word(w).maybe_feasible]
     states = tuple(sorted(level))
+    oracle.retain(states)
     return TrafficAbstraction(
         states=states, transitions=domino_transitions(states), depth=l
     )
@@ -114,7 +110,7 @@ def mixed_transitions(states) -> tuple:
     )
 
 
-def refine_sac(abstraction: TrafficAbstraction, sac, oracle, workers: int = 1) -> TrafficAbstraction:
+def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstraction:
     """Split each state along the candidate cycle into its feasible one-letter
     extensions; everything else is kept as is."""
     sac = {tuple(w) for w in sac}
@@ -127,15 +123,14 @@ def refine_sac(abstraction: TrafficAbstraction, sac, oracle, workers: int = 1) -
         if w not in sac:
             new_states.append(w)
             continue
-        cands = [w + (k,) for k in alphabet]
-        verdicts = _query_words(oracle, cands, workers)
-        kept = [c for c, v in zip(cands, verdicts) if v.maybe_feasible]
+        kept = [w + (k,) for k in alphabet if oracle.feasible_word(w + (k,)).maybe_feasible]
         if not kept:
             raise EmptyRefinement(
                 f"word {w} has no feasible extension; oracle verdicts are inconsistent"
             )
         new_states.extend(kept)
     states = tuple(sorted(new_states))
+    oracle.retain(states)
     return TrafficAbstraction(
         states=states,
         transitions=mixed_transitions(states),

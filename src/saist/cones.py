@@ -31,6 +31,16 @@ class QuadConstraint:
         P.setflags(write=False)
         object.__setattr__(self, "P", P)
 
+    @classmethod
+    def symmetric(cls, P, sense):
+        """A constraint on a form that is already exactly symmetric, such as
+        0.5 * (P + P.T); it skips the check and the second symmetrisation."""
+        c = object.__new__(cls)
+        P.setflags(write=False)
+        object.__setattr__(c, "P", P)
+        object.__setattr__(c, "sense", sense)
+        return c
+
     def satisfied(self, x, tol=0.0):
         v = float(x @ self.P @ x)
         return v > tol if self.sense is Sense.STRICT_POSITIVE else v <= tol
@@ -65,9 +75,7 @@ class ConeSystem:
 
     def arrays(self):
         """(mats, signs) stacks for the batch kernels."""
-        mats = np.array([c.P for c in self.constraints])
-        signs = np.array([c.sense.sign for c in self.constraints])
-        return mats, signs
+        return stack(self.constraints)
 
     def inflate(self, epsilon):
         """Add epsilon*I to every constraint matrix (cone inflation)."""
@@ -78,30 +86,49 @@ class ConeSystem:
         )
 
 
-def sigma_cone(disc: DiscretizedSystem, word) -> ConeSystem:
-    """Constraints of the set of states whose next |word| ISTs are exactly `word`.
+def stack(constraints):
+    """(mats, signs) stacks of a sequence of constraints."""
+    mats = np.array([c.P for c in constraints])
+    signs = np.array([c.sense.sign for c in constraints])
+    return mats, signs
 
-    A letter k contributes one strict-positive constraint on N(k) (absent for
-    k = kbar) preceded in sense-order by non-positive constraints on N(m),
-    m < k; step j's forms are pulled back by Phi_j = M(k_{j-1})...M(k_1).
+
+def cone_step(disc: DiscretizedSystem, phi, constraints, k):
+    """Append letter k to a word whose cone is (phi, constraints).
+
+    Letter k contributes non-positive constraints on N(m), m < k, then one
+    strict-positive constraint on N(k) (absent for k = kbar), each pulled
+    back by phi; phi then advances to M(k) @ phi.  Returns the child's
+    (phi, constraints), the parent's constraints as a prefix.
     """
+    forms = [(m, Sense.NON_POSITIVE) for m in range(1, k)]
+    if k < disc.kbar:
+        forms.append((k, Sense.STRICT_POSITIVE))
+    new = []
+    for m, sense in forms:
+        P = phi.T @ disc.N[m - 1] @ phi
+        new.append(QuadConstraint.symmetric(0.5 * (P + P.T), sense))
+    return disc.M[k - 1] @ phi, constraints + tuple(new)
+
+
+def checked_word(disc: DiscretizedSystem, word) -> tuple:
+    """The word as a tuple of ints; ConfigError unless nonempty over 1..kbar."""
     word = tuple(int(k) for k in word)
     if not word:
         raise ConfigError("word must be nonempty")
     if any(k < 1 or k > disc.kbar for k in word):
         raise ConfigError(f"letters must lie in 1..{disc.kbar}")
-    n = disc.n
-    phi = np.eye(n)
-    constraints = []
+    return word
+
+
+def sigma_cone(disc: DiscretizedSystem, word) -> ConeSystem:
+    """Constraints of the set of states whose next |word| ISTs are exactly
+    `word`: :func:`cone_step` folded over the word from the identity."""
+    word = checked_word(disc, word)
+    phi, constraints = np.eye(disc.n), ()
     for k in word:
-        for m in range(1, k):
-            P = phi.T @ disc.N[m - 1] @ phi
-            constraints.append(QuadConstraint(0.5 * (P + P.T), Sense.NON_POSITIVE))
-        if k < disc.kbar:
-            P = phi.T @ disc.N[k - 1] @ phi
-            constraints.append(QuadConstraint(0.5 * (P + P.T), Sense.STRICT_POSITIVE))
-        phi = disc.M[k - 1] @ phi
-    return ConeSystem(word=word, constraints=tuple(constraints))
+        phi, constraints = cone_step(disc, phi, constraints, k)
+    return ConeSystem(word=word, constraints=constraints)
 
 
 def subspace_contained(V, c: QuadConstraint, tol: float) -> bool:

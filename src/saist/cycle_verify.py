@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSystem, Sense, sigma_cone, subspace_contained
+from .cones import ConeSystem, cone_step, sigma_cone, subspace_contained
 from .errors import DefectiveMatrix, RankDeficientBasis, SingularCycleMatrix
 from .oracle import Policy
 from .petc import DiscretizedSystem, trace
@@ -146,30 +146,14 @@ def basic_invariant_subspaces(M) -> list:
     return out
 
 
-def _step_atoms(disc, k):
-    """(P, sense) constraint atoms a state must satisfy to fire exactly at k."""
-    atoms = [(disc.N[m - 1], Sense.NON_POSITIVE) for m in range(1, k)]
-    if k < disc.kbar:
-        atoms.append((disc.N[k - 1], Sense.STRICT_POSITIVE))
-    return atoms
-
-
-class _Atom:
-    # lightweight stand-in matching the QuadConstraint fields subspace checks use
-    __slots__ = ("P", "sense")
-
-    def __init__(self, P, sense):
-        self.P = P
-        self.sense = sense
-
-
 def _chain_contained(disc, word, V, tol=STRICT_TOL):
     """The propagated-basis containment chain for one candidate subspace."""
     Vj = V
+    eye = np.eye(disc.n)
     for k in word:
-        for P, sense in _step_atoms(disc, k):
+        for c in cone_step(disc, eye, (), k)[1]:
             try:
-                if not subspace_contained(Vj, _Atom(P, sense), tol):
+                if not subspace_contained(Vj, c, tol):
                     return False
             except RankDeficientBasis:
                 return False

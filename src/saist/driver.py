@@ -36,7 +36,6 @@ class SaistConfig:
     solver_path: Optional[str] = None
     seed: int = 0
     budget: int = 10_000
-    workers: int = 1
 
     def __post_init__(self):
         if self.mode not in ("full", "targeted"):
@@ -79,7 +78,7 @@ def parse_config(data: dict, **overrides) -> SaistConfig:
         raise ConfigError("trigger type must be 'relative_error' or 'quadratic'")
     sys = PetcSystem(A=A, BK=B @ K, Qtrig=Q, h=float(data["h"]), kbar=int(data["kbar"]))
     kwargs = {}
-    for key in ("l_max", "mode", "oracle", "solver_path", "seed", "budget", "workers"):
+    for key in ("l_max", "mode", "oracle", "solver_path", "seed", "budget"):
         if key in data:
             kwargs[key] = data[key]
     kwargs.update(overrides)
@@ -199,11 +198,9 @@ def compute_saist(config: SaistConfig) -> SaistReport:
             l += 1
             if l > config.l_max:
                 break
-            abstraction = build_l_complete(disc, oracle, l, workers=config.workers)
+            abstraction = build_l_complete(disc, oracle, l, prev=abstraction)
         else:
-            abstraction = refine_sac(
-                abstraction, last_sac_states, oracle, workers=config.workers
-            )
+            abstraction = refine_sac(abstraction, last_sac_states, oracle)
             l = abstraction.depth
             if l > config.l_max:
                 break

@@ -1,80 +1,52 @@
 """Numeric hot loops: quadratic-form batches, trigger scans, closed-loop simulation.
 
-Each kernel has a pure-numpy implementation and a numba ``@njit`` twin.
-The numba path is used when available unless ``SAIST_NUMBA=0`` is set in the
-environment.  ``benchmarks/bench_kernels.py`` compares the two.
+All kernels are numpy; ``benchmarks/bench_kernels.py`` times them.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("SAIST_NUMBA", "1") != "0"
 
 
 # ---------------------------------------------------------------------------
 # quadratic-form batches
 
 
-def _margins_numpy(points, mats, signs):
+def _margins(points, mats, signs):
+    # `margins` without the conversions, for arrays already float64 and contiguous
+    q = np.einsum("pi,cij,pj->pc", points, mats, points)
+    return q * signs[np.newaxis, :]
+
+
+def margins(points, mats, signs):
     """Signed constraint margins for a batch of points.
 
     points: (p, n); mats: (c, n, n) symmetric; signs: (c,) with +1 for
     strict-positive constraints and -1 for non-positive ones.  Returns (p, c):
     entry > 0 means the point satisfies that constraint strictly.
     """
-    q = np.einsum("pi,cij,pj->pc", points, mats, points)
-    return q * signs[np.newaxis, :]
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _margins_numba(points, mats, signs):
-        p = points.shape[0]
-        c = mats.shape[0]
-        n = points.shape[1]
-        out = np.empty((p, c))
-        for ip in range(p):
-            x = points[ip]
-            for ic in range(c):
-                acc = 0.0
-                for i in range(n):
-                    row = 0.0
-                    for j in range(n):
-                        row += mats[ic, i, j] * x[j]
-                    acc += x[i] * row
-                out[ip, ic] = acc * signs[ic]
-        return out
-
-
-def margins(points, mats, signs):
     points = np.ascontiguousarray(points, dtype=np.float64)
     mats = np.ascontiguousarray(mats, dtype=np.float64)
     signs = np.ascontiguousarray(signs, dtype=np.float64)
-    if USE_NUMBA:
-        return _margins_numba(points, mats, signs)
-    return _margins_numpy(points, mats, signs)
+    return _margins(points, mats, signs)
 
 
 # ---------------------------------------------------------------------------
 # min-margin ascent on the unit sphere
 
 
-def _ascent_numpy(x0, mats, signs, steps, tol):
+def min_margin_ascent(x0, mats, signs, steps=200, tol=1e-9):
+    """Locally maximize the worst constraint margin over the unit sphere.
+
+    Returns (point, min_margin); stops early once min_margin > tol.
+    """
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    mats = np.ascontiguousarray(mats, dtype=np.float64)
+    signs = np.ascontiguousarray(signs, dtype=np.float64)
     x = x0 / np.linalg.norm(x0)
     best = x.copy()
-    best_m = float(np.min(_margins_numpy(x[None, :], mats, signs)[0]))
+    best_m = float(np.min(_margins(x[None, :], mats, signs)[0]))
     step = 0.5
     for _ in range(steps):
-        m = _margins_numpy(x[None, :], mats, signs)[0]
+        m = _margins(x[None, :], mats, signs)[0]
         i = int(np.argmin(m))
         if m[i] > tol:
             return x, float(m[i])
@@ -85,7 +57,7 @@ def _ascent_numpy(x0, mats, signs, steps, tol):
             break
         cand = x + step * g / gn
         cand /= np.linalg.norm(cand)
-        cm = float(np.min(_margins_numpy(cand[None, :], mats, signs)[0]))
+        cm = float(np.min(_margins(cand[None, :], mats, signs)[0]))
         if cm > np.min(m):
             x = cand
             if cm > best_m:
@@ -97,80 +69,20 @@ def _ascent_numpy(x0, mats, signs, steps, tol):
     return best, best_m
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _ascent_numba(x0, mats, signs, steps, tol):
-        n = x0.shape[0]
-        c = mats.shape[0]
-        x = x0 / np.linalg.norm(x0)
-        best = x.copy()
-        best_m = -1e300
-        step = 0.5
-        for _ in range(steps):
-            worst = 1e300
-            iw = 0
-            for ic in range(c):
-                acc = 0.0
-                for i in range(n):
-                    row = 0.0
-                    for j in range(n):
-                        row += mats[ic, i, j] * x[j]
-                    acc += x[i] * row
-                m = acc * signs[ic]
-                if m < worst:
-                    worst = m
-                    iw = ic
-            if worst > best_m:
-                best = x.copy()
-                best_m = worst
-            if worst > tol:
-                return x, worst
-            g = 2.0 * signs[iw] * (mats[iw] @ x)
-            g = g - (g @ x) * x
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                break
-            cand = x + step * g / gn
-            cand = cand / np.linalg.norm(cand)
-            cworst = 1e300
-            for ic in range(c):
-                acc = 0.0
-                for i in range(n):
-                    row = 0.0
-                    for j in range(n):
-                        row += mats[ic, i, j] * cand[j]
-                    acc += cand[i] * row
-                m = acc * signs[ic]
-                if m < cworst:
-                    cworst = m
-            if cworst > worst:
-                x = cand
-            else:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-        return best, best_m
-
-
-def min_margin_ascent(x0, mats, signs, steps=200, tol=1e-9):
-    """Locally maximize the worst constraint margin over the unit sphere.
-
-    Returns (point, min_margin); stops early once min_margin > tol.
-    """
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    mats = np.ascontiguousarray(mats, dtype=np.float64)
-    signs = np.ascontiguousarray(signs, dtype=np.float64)
-    if USE_NUMBA:
-        return _ascent_numba(x0, mats, signs, steps, tol)
-    return _ascent_numpy(x0, mats, signs, steps, tol)
-
-
 # ---------------------------------------------------------------------------
 # PETC closed-loop simulation
 
 
-def _simulate_numpy(M, N, x0, steps, renorm):
+def simulate_loop(M, N, x0, steps, renormalize=False):
+    """Iterate x' = M(kappa(x)) x; returns (states, ists, completed_steps).
+
+    completed_steps < steps signals a non-finite state at that index.  With
+    renormalize, the state is rescaled to unit norm after every sample; the
+    IST sequence is homogeneous, so this only guards against over/underflow.
+    """
+    M = np.ascontiguousarray(M, dtype=np.float64)
+    N = np.ascontiguousarray(N, dtype=np.float64)
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
     n = x0.shape[0]
     kbar = M.shape[0]
     states = np.empty((steps + 1, n))
@@ -185,7 +97,7 @@ def _simulate_numpy(M, N, x0, steps, renorm):
                 break
         ists[i] = k
         x = M[k - 1] @ x
-        if renorm:
+        if renormalize:
             nrm = np.linalg.norm(x)
             if nrm > 0.0:
                 x = x / nrm
@@ -193,59 +105,6 @@ def _simulate_numpy(M, N, x0, steps, renorm):
             return states, ists, i + 1
         states[i + 1] = x
     return states, ists, steps
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _simulate_numba(M, N, x0, steps, renorm):
-        n = x0.shape[0]
-        kbar = M.shape[0]
-        states = np.empty((steps + 1, n))
-        ists = np.empty(steps, dtype=np.int64)
-        x = x0.copy()
-        states[0] = x
-        for i in range(steps):
-            k = kbar
-            for kk in range(1, kbar):
-                acc = 0.0
-                for a in range(n):
-                    row = 0.0
-                    for b in range(n):
-                        row += N[kk - 1, a, b] * x[b]
-                    acc += x[a] * row
-                if acc > 0.0:
-                    k = kk
-                    break
-            ists[i] = k
-            x = M[k - 1] @ x
-            if renorm:
-                nrm = np.linalg.norm(x)
-                if nrm > 0.0:
-                    x = x / nrm
-            ok = True
-            for a in range(n):
-                if not np.isfinite(x[a]):
-                    ok = False
-            if not ok:
-                return states, ists, i + 1
-            states[i + 1] = x
-        return states, ists, steps
-
-
-def simulate_loop(M, N, x0, steps, renormalize=False):
-    """Iterate x' = M(kappa(x)) x; returns (states, ists, completed_steps).
-
-    completed_steps < steps signals a non-finite state at that index.  With
-    renormalize, the state is rescaled to unit norm after every sample; the
-    IST sequence is homogeneous, so this only guards against over/underflow.
-    """
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    N = np.ascontiguousarray(N, dtype=np.float64)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    if USE_NUMBA:
-        return _simulate_numba(M, N, x0, steps, renormalize)
-    return _simulate_numpy(M, N, x0, steps, renormalize)
 
 
 def kappa_scan(N, x):

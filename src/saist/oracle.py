@@ -2,12 +2,12 @@
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .cones import ConeSystem, sigma_cone
+from .cones import ConeSystem, checked_word, cone_step, stack
 from .decider import BuiltinDecider, s_procedure_certificate
 from .errors import SolverUnavailable
 from .petc import DiscretizedSystem
@@ -48,6 +48,24 @@ class FeasibilityVerdict:
         return self.status in (Status.FEASIBLE, Status.UNKNOWN)
 
 
+class _Cone(NamedTuple):
+    """A word's cone with what its children extend: the cumulative matrix,
+    the (mats, signs) stacks and the pool's worst margin per point."""
+
+    cone: ConeSystem
+    phi: np.ndarray
+    mats: np.ndarray
+    signs: np.ndarray
+    worst: np.ndarray
+
+
+def _worst(pts, mats, signs):
+    """Each point's smallest margin over the forms; +inf when there are none."""
+    if not len(signs):
+        return np.full(len(pts), np.inf)
+    return kernels.margins(pts, mats, signs).min(axis=1)
+
+
 def _unit_pool(n, size, seed):
     if n == 2:
         # golden-angle sequence on the projective circle: low discrepancy
@@ -62,7 +80,10 @@ class ConeOracle:
     """Decides sigma-cone nonemptiness for one discretized PETC system.
 
     Verdicts are cached by word; Unknown verdicts are upgraded when a later
-    query demands exactness.  `engine` is anything with
+    query demands exactness.  `feasible_word` extends the cone of the word's
+    parent by one letter, with the pool's margins on the new forms only;
+    the parents it keeps are the words passed to the last `retain`, plus the
+    feasible words decided since.  `engine` is anything with
     ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``, typically a
     :class:`saist.smtlib.SolverClient` or :class:`saist.decider.BuiltinDecider`.
     """
@@ -85,6 +106,11 @@ class ConeOracle:
         self.pool = _unit_pool(disc.n, pool_size, seed)
         self._verdicts = {}
         self._witnesses = {}
+        n = disc.n
+        root = ConeSystem(word=(), constraints=())
+        empty = np.empty((0, n, n)), np.empty(0)
+        self._root = _Cone(root, np.eye(n), *empty, _worst(self.pool, *empty))
+        self._memo = {}
         self.stats = {"sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0}
 
     @property
@@ -100,11 +126,18 @@ class ConeOracle:
     def _pool(self, cone: ConeSystem):
         """Pool points plus the parent word's witnesses, their worst margins,
         and the cone's (mats, signs) stacks."""
-        mats, signs = cone.arrays()
-        starts = [np.asarray(w) for w in self.witnesses(cone.word[:-1])]
-        pts = np.vstack([self.pool] + [w[None, :] for w in starts]) if starts else self.pool
-        worst = kernels.margins(pts, mats, signs).min(axis=1)
-        return pts, worst, mats, signs
+        memo = self._memo.get(cone.word)
+        if memo is not None and memo.cone is cone:
+            mats, signs, worst = memo.mats, memo.signs, memo.worst
+        else:
+            mats, signs = cone.arrays()
+            worst = _worst(self.pool, mats, signs)
+        starts = [np.asarray(w)[None, :] for w in self.witnesses(cone.word[:-1])]
+        if not starts:
+            return self.pool, worst, mats, signs
+        starts = np.vstack(starts)
+        worst = np.concatenate([worst, _worst(starts, mats, signs)])
+        return np.vstack([self.pool, starts]), worst, mats, signs
 
     def _ascend(self, pts, worst, mats, signs, budget):
         """Locally improve the most promising points; a witness or None."""
@@ -179,6 +212,30 @@ class ConeOracle:
             v = FeasibilityVerdict(Status.UNKNOWN, None, Method.EXTERNAL)
         return self._store(key, v)
 
+    def _extend(self, word):
+        """The word's cone, from its parent's: one letter's forms are added
+        and only they are evaluated on the pool."""
+        if not word:
+            return self._root
+        memo = self._memo.get(word)
+        if memo is not None:
+            return memo
+        parent = self._extend(word[:-1])
+        phi, constraints = cone_step(self.disc, parent.phi, parent.cone.constraints, word[-1])
+        new = constraints[len(parent.cone.constraints):]
+        mats, signs, worst = parent.mats, parent.signs, parent.worst
+        if new:
+            new_mats, new_signs = stack(new)
+            mats = np.concatenate([mats, new_mats])
+            signs = np.concatenate([signs, new_signs])
+            worst = np.minimum(worst, _worst(self.pool, new_mats, new_signs))
+        return _Cone(ConeSystem(word=word, constraints=constraints), phi, mats, signs, worst)
+
+    def retain(self, words):
+        """Forget the cones of every word not in `words`."""
+        words = set(words)
+        self._memo = {w: m for w, m in self._memo.items() if w in words}
+
     def feasible_word(self, word, policy=None) -> FeasibilityVerdict:
         word = tuple(word)
         cached = self._verdicts.get((word, ""))
@@ -187,4 +244,9 @@ class ConeOracle:
             cached.status is not Status.UNKNOWN or pol is Policy.CONSERVATIVE
         ):
             return cached
-        return self.feasible(sigma_cone(self.disc, word), policy=policy)
+        word = checked_word(self.disc, word)
+        memo = self._memo[word] = self._extend(word)
+        v = self.feasible(memo.cone, policy=policy)
+        if not v.maybe_feasible:
+            del self._memo[word]
+        return v

@@ -32,6 +32,9 @@ class MockOracle:
 
         return V()
 
+    def retain(self, states):
+        pass
+
 
 def fig_streams():
     # two eventual behaviors: 2^w reached after a transient, and (1,2,2)^w
@@ -124,6 +127,9 @@ def test_targeted_refinement_sequence():
 
             return V()
 
+        def retain(self, states):
+            pass
+
     o = TwoLetterOracle()
 
     class D:
@@ -150,6 +156,9 @@ def test_refine_empty_extension_raises():
                 maybe_feasible = len(word) == 1
 
             return V()
+
+        def retain(self, states):
+            pass
 
     o = NoneFeasible()
 

@@ -149,3 +149,12 @@ def test_cli_report_and_dot(tmp_path):
     doc = json.loads(rep_path.read_text())
     assert doc["status"] == "Verified"
     assert dot_path.read_text().startswith("digraph")
+
+
+def test_kbar_one_is_verified_one():
+    # the only word (1,) has a constraint-free cone: the whole state space
+    cfg = parse_config(dict(config_json(0.5), kbar=1), l_max=3, seed=0)
+    rep = compute_saist(cfg)
+    assert rep.verified
+    assert rep.saist == Fraction(1)
+    assert rep.sac_word == (1,)

@@ -1,0 +1,147 @@
+"""Cones extended one letter at a time agree bitwise with cones built from
+scratch, and the oracle keeps the cones of the latest abstraction only."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from saist import build_l_complete, discretize, kernels, refine_sac, sigma_cone
+from saist.cones import cone_step
+from saist.oracle import ConeOracle, Policy
+
+from test_oracle import system_3d
+from test_petc import system_2d
+
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+SYSTEMS = {"2d": system_2d(sigma=0.3), "3d": system_3d(sigma=0.4)}
+_discs = {}
+
+
+def disc_of(name):
+    if name not in _discs:
+        _discs[name] = discretize(SYSTEMS[name])
+    return _discs[name]
+
+
+def same(a, b):
+    """Constraint sequences with bitwise equal forms and equal senses."""
+    return len(a) == len(b) and all(
+        c.sense is d.sense and np.array_equal(c.P, d.P) for c, d in zip(a, b)
+    )
+
+
+words = st.lists(st.integers(1, 20), min_size=1, max_size=12).map(tuple)
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(SYSTEMS)), word=words)
+def test_step_extends_the_parent_cone(name, word):
+    disc = disc_of(name)
+    cone = sigma_cone(disc, word)
+    if len(word) > 1:
+        parent = sigma_cone(disc, word[:-1]).constraints
+        assert same(cone.constraints[: len(parent)], parent)
+    for c in cone.constraints:
+        assert np.array_equal(c.P, c.P.T)
+    # the letter's own forms, pulled back by the identity, are the N(m) themselves
+    k = word[-1]
+    _, own = cone_step(disc, np.eye(disc.n), (), k)
+    forms = list(range(1, k + 1 if k < disc.kbar else k))
+    assert len(own) == len(forms)
+    for c, m in zip(own, forms):
+        assert np.array_equal(c.P, disc.N[m - 1])
+
+
+def sigma_cone_phi(disc, word):
+    phi = np.eye(disc.n)
+    for k in word:
+        phi = disc.M[k - 1] @ phi
+    return phi
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(SYSTEMS)), word=words)
+def test_incremental_stacks_and_margins_are_bitwise(name, word):
+    disc = disc_of(name)
+    oracle = ConeOracle(disc)
+    memo = oracle._extend(word)
+    mats, signs = sigma_cone(disc, word).arrays()
+    assert same(memo.cone.constraints, sigma_cone(disc, word).constraints)
+    assert np.array_equal(memo.mats, mats) and np.array_equal(memo.signs, signs)
+    assert np.array_equal(memo.phi, sigma_cone_phi(disc, word))
+    if len(signs):
+        full = kernels.margins(oracle.pool, mats, signs).min(axis=1)
+    else:
+        full = np.full(len(oracle.pool), np.inf)
+    assert np.array_equal(memo.worst, full)
+
+
+def scratch_level(disc, oracle, level, l):
+    """build_l_complete's candidates, each decided on a cone built from scratch."""
+    alphabet = list(oracle.alphabet)
+    if not level:
+        cands = [(k,) for k in alphabet]
+    else:
+        prev = set(level)
+        cands = [w + (k,) for w in level for k in alphabet if w[1:] + (k,) in prev]
+    return [w for w in cands if oracle.feasible(sigma_cone(disc, w)).maybe_feasible]
+
+
+def verdicts(oracle):
+    return {
+        key: (v.status, None if v.witness is None else v.witness.tobytes())
+        for key, v in oracle._verdicts.items()
+    }
+
+
+@pytest.mark.parametrize("name,depth", [("2d", 8), ("3d", 2)])
+def test_memo_build_matches_scratch_cones(name, depth):
+    disc = disc_of(name)
+    memo = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    ref = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    model, level = None, []
+    for l in range(1, depth + 1):
+        model = build_l_complete(disc, memo, l, prev=model)
+        level = scratch_level(disc, ref, level, l)
+        assert model.states == tuple(sorted(level))
+        assert set(memo._memo) <= set(model.states)
+        assert verdicts(memo) == verdicts(ref)
+        for w in model.states:
+            got, want = memo.witnesses(w), ref.witnesses(w)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert memo.stats == ref.stats
+
+
+def test_build_from_scratch_equals_build_from_prev():
+    disc = disc_of("2d")
+    a = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    b = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    model = None
+    for l in range(1, 7):
+        model = build_l_complete(disc, a, l, prev=model)
+        fresh = build_l_complete(disc, b, l)
+        assert model == fresh
+        assert set(b._memo) <= set(fresh.states)
+    assert verdicts(a) == verdicts(b)
+
+
+def test_refine_keeps_only_the_new_states():
+    disc = disc_of("2d")
+    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    model = build_l_complete(disc, oracle, 1)
+    for _ in range(4):
+        sac = [w for w in model.states if w[0] == min(s[0] for s in model.states)]
+        model = refine_sac(model, sac, oracle)
+        assert set(oracle._memo) <= set(model.states)
+
+
+def test_prev_must_be_uniform_and_not_deeper():
+    disc = disc_of("2d")
+    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    model = build_l_complete(disc, oracle, 3)
+    with pytest.raises(ValueError):
+        build_l_complete(disc, oracle, 2, prev=model)
+    mixed = refine_sac(model, model.states[:1], oracle)
+    with pytest.raises(ValueError):
+        build_l_complete(disc, oracle, 5, prev=mixed)
