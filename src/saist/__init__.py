@@ -24,7 +24,6 @@ from .quantgraph import (
     min_mean_cycles,
     max_mean_cycle,
     attracting_scc_bound,
-    simplify_wts,
 )
 from .cycle_verify import (
     InvariantSubspace,
@@ -78,7 +77,6 @@ __all__ = [
     "min_mean_cycles",
     "max_mean_cycle",
     "attracting_scc_bound",
-    "simplify_wts",
     "InvariantSubspace",
     "EigenStructure",
     "cycle_matrix",

@@ -27,9 +27,6 @@ class TrafficAbstraction:
     def n_states(self):
         return len(self.states)
 
-    def successors(self, word):
-        return tuple(w for v, w in self.transitions if v == word)
-
     def as_weighted_graph(self) -> WeightedGraph:
         """Simple-WTS form: every edge out of u weighs output(u)."""
         idx = {w: i for i, w in enumerate(self.states)}

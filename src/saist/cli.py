@@ -15,7 +15,7 @@ def build_parser():
     a.add_argument("config", help="path to the JSON system description")
     a.add_argument("--l-max", type=int, default=None, help="abstraction depth budget")
     a.add_argument("--mode", choices=["full", "targeted"], default=None)
-    a.add_argument("--oracle", choices=["sampling", "exact", "hybrid"], default=None)
+    a.add_argument("--oracle", choices=["sampling", "hybrid"], default=None)
     a.add_argument("--solver-path", default=None, help="external SMT-LIB2 solver executable")
     a.add_argument("--seed", type=int, default=None)
     a.add_argument("--dot", metavar="OUT.dot", default=None, help="write the final abstraction digraph")

@@ -2,7 +2,7 @@
 
 A cycle word verifies when some basic invariant linear subspace of its cycle
 matrix stays inside the chain of per-step cones; a Verified verdict is gated
-by an exact finite simulation from a witness state.
+by a finite float64 simulation from a witness state.
 """
 
 import enum
@@ -116,10 +116,9 @@ def basic_invariant_subspaces(M) -> list:
     """Real eigenlines plus one plane per conjugate pair, orthonormal bases,
     ordered by descending eigenvalue magnitude."""
     M = np.asarray(M, dtype=float)
-    vals, vecs = np.linalg.eig(M)
-    if np.linalg.cond(vecs) > 1e10:
-        raise DefectiveMatrix("eigenvector matrix is ill conditioned")
     es = eigen_structure(M)
+    if np.linalg.cond(np.column_stack(es.eigenvectors)) > 1e10:
+        raise DefectiveMatrix("eigenvector matrix is ill conditioned")
     scale = max(1.0, float(np.linalg.norm(M, 2)))
     out = []
     seen_pairs = set()
@@ -189,7 +188,7 @@ def _simulation_confirms(disc, word, sub, repeats=20, seed=0):
 
 def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyResult:
     """Verified iff some invariant subspace survives the cone chain and the
-    exact simulation gate; falls back to powers of the cycle matrix for
+    float64 simulation gate; falls back to powers of the cycle matrix for
     rational rotations."""
     word = tuple(int(k) for k in word)
     warnings = []

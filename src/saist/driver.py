@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .abstraction import build_l_complete, domino_transitions, refine_sac, TrafficAbstraction
-from .cycle_verify import verify_cycle
+from .cycle_verify import VerifyResult, verify_cycle
 from .errors import ConfigError, CrosscheckFailed
 from .oracle import ConeOracle, Policy
 from .petc import (
@@ -21,7 +21,6 @@ from .petc import (
 from .quantgraph import (
     WeightedGraph,
     attracting_scc_bound,
-    canonical_rotation,
     min_mean_cycles,
 )
 from .smtlib import SolverClient
@@ -32,16 +31,17 @@ class SaistConfig:
     system: PetcSystem
     l_max: int = 50
     mode: str = "full"  # or "targeted"
-    oracle: str = "hybrid"  # sampling | exact | hybrid
+    oracle: str = "hybrid"  # sampling | hybrid
     solver_path: Optional[str] = None
     seed: int = 0
-    budget: int = 10_000
 
     def __post_init__(self):
         if self.mode not in ("full", "targeted"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.oracle not in ("sampling", "exact", "hybrid"):
-            raise ConfigError(f"unknown oracle policy {self.oracle!r}")
+        if self.oracle not in ("sampling", "hybrid"):
+            raise ConfigError(
+                f"unknown oracle policy {self.oracle!r}; use 'sampling' or 'hybrid'"
+            )
         if self.l_max < 1:
             raise ConfigError("l_max must be >= 1")
 
@@ -78,7 +78,7 @@ def parse_config(data: dict, **overrides) -> SaistConfig:
         raise ConfigError("trigger type must be 'relative_error' or 'quadratic'")
     sys = PetcSystem(A=A, BK=B @ K, Qtrig=Q, h=float(data["h"]), kbar=int(data["kbar"]))
     kwargs = {}
-    for key in ("l_max", "mode", "oracle", "solver_path", "seed", "budget"):
+    for key in ("l_max", "mode", "oracle", "solver_path", "seed"):
         if key in data:
             kwargs[key] = data[key]
     kwargs.update(overrides)
@@ -158,13 +158,7 @@ def make_oracle(config: SaistConfig, disc=None) -> ConeOracle:
             else "builtin"
         )
         policy = Policy.EXACT_REQUIRED
-    return ConeOracle(
-        disc,
-        engine=engine,
-        budget=config.budget,
-        seed=config.seed,
-        policy=policy,
-    )
+    return ConeOracle(disc, engine=engine, seed=config.seed, policy=policy)
 
 
 def _cycle_candidates(graph: WeightedGraph, max_cycles=32):
@@ -180,30 +174,29 @@ def _cycle_candidates(graph: WeightedGraph, max_cycles=32):
     return [seen[k] for k in sorted(seen)]
 
 
-def compute_saist(config: SaistConfig) -> SaistReport:
-    """Refine the traffic abstraction until its smallest-in-average cycle is a
-    proven behavior of the closed loop, or until the depth budget runs out."""
-    disc = discretize(config.system)
-    oracle = make_oracle(config, disc)
+def _refinement_loop(next_abstraction, verify, l_max, h, stats=None) -> SaistReport:
+    """Abstract, bound, try the minimum-mean cycles by output word, refine.
+
+    `next_abstraction(prev, sac_states)` gives the next abstraction, or None
+    when there is none to build; one deeper than `l_max` is kept for the
+    report but not analysed.  `verify(word)` gives a VerifyResult, and
+    `stats`, if any, is copied into each iteration record.
+    """
     lower = None
     upper = None
     iterations = []
     abstraction = None
-    last_sac_states = None
+    sac_states = None
     best_sac = ()
-    l = 0
     while True:
         t0 = time.monotonic()
-        if config.mode == "full" or abstraction is None:
-            l += 1
-            if l > config.l_max:
-                break
-            abstraction = build_l_complete(disc, oracle, l, prev=abstraction)
-        else:
-            abstraction = refine_sac(abstraction, last_sac_states, oracle)
-            l = abstraction.depth
-            if l > config.l_max:
-                break
+        nxt = next_abstraction(abstraction, sac_states)
+        if nxt is None:
+            break
+        abstraction = nxt
+        l = abstraction.depth
+        if l > l_max:
+            break
         graph = abstraction.as_weighted_graph()
         cands = _cycle_candidates(graph)
         value = cands[0][0].value
@@ -213,111 +206,88 @@ def compute_saist(config: SaistConfig) -> SaistReport:
         if bound is not None and (upper is None or bound < upper):
             upper = bound
         verified = None
-        for res, word in cands:
-            out = verify_cycle(disc, word, seed=config.seed)
+        for _, word in cands:
+            out = verify(word)
             if out.verified:
-                verified = (res, word, out)
+                verified = (word, out)
                 break
-        entry = {
-            "l": l,
-            "value": value,
-            "n_states": abstraction.n_states,
-            "sac": list(cands[0][1]),
-            "verified": verified is not None,
-            "oracle": dict(oracle.stats),
-            "wall_time": time.monotonic() - t0,
-        }
-        iterations.append(entry)
+        iterations.append(
+            {
+                "l": l,
+                "value": value,
+                "n_states": abstraction.n_states,
+                "sac": list(cands[0][1]),
+                "verified": verified is not None,
+                "oracle": {} if stats is None else dict(stats),
+                "wall_time": time.monotonic() - t0,
+            }
+        )
         if verified is not None:
-            res, word, out = verified
+            word, out = verified
             return SaistReport(
                 status="Verified",
                 saist_lower=value,
                 saist_upper=value if upper is None else min(upper, value),
                 sac_word=word,
                 l_reached=l,
-                witness=out.witness.basis,
-                h=config.system.h,
+                witness=None if out.witness is None else out.witness.basis,
+                h=h,
                 power=out.power,
                 iterations=iterations,
                 dot=abstraction.to_dot(),
             )
         best_sac = cands[0][1]
         # states along the winning cycle, for targeted refinement
-        last_sac_states = tuple(graph.labels[v] for v in cands[0][0].cycle)
+        sac_states = tuple(graph.labels[v] for v in cands[0][0].cycle)
     return SaistReport(
         status="BoundsOnly",
         saist_lower=lower if lower is not None else Fraction(0),
         saist_upper=upper,
         sac_word=best_sac,
-        l_reached=min(l, config.l_max) if iterations else 0,
+        l_reached=l_max if iterations else 0,
         witness=None,
-        h=config.system.h,
+        h=h,
         iterations=iterations,
         dot=abstraction.to_dot() if abstraction is not None else None,
     )
 
 
-def generic_limavg(provider, l_max: int) -> SaistReport:
-    """Depth loop of the limit-average engine over an arbitrary word provider.
+def compute_saist(config: SaistConfig) -> SaistReport:
+    """Refine the traffic abstraction until its smallest-in-average cycle is a
+    proven behavior of the closed loop, or until the depth budget runs out."""
+    disc = discretize(config.system)
+    oracle = make_oracle(config, disc)
 
-    The provider supplies length-l word sets and a periodic-word verifier.
-    """
-    lower = None
-    upper = None
-    iterations = []
-    best_sac = ()
-    for l in range(1, l_max + 1):
-        t0 = time.monotonic()
+    def next_abstraction(prev, sac_states):
+        if prev is not None and config.mode == "targeted":
+            return refine_sac(prev, sac_states, oracle)
+        l = 1 if prev is None else prev.depth + 1
+        return build_l_complete(disc, oracle, l, prev=prev) if l <= config.l_max else None
+
+    return _refinement_loop(
+        next_abstraction,
+        lambda word: verify_cycle(disc, word, seed=config.seed),
+        config.l_max,
+        config.system.h,
+        oracle.stats,
+    )
+
+
+def generic_limavg(provider, l_max: int) -> SaistReport:
+    """The same loop over an arbitrary word provider, which supplies the
+    length-l word sets and a periodic-word verifier."""
+
+    def next_abstraction(prev, _):
+        l = 1 if prev is None else prev.depth + 1
+        if l > l_max:
+            return None
         states = tuple(sorted(provider.words(l)))
-        abstraction = TrafficAbstraction(
+        return TrafficAbstraction(
             states=states, transitions=domino_transitions(states), depth=l
         )
-        graph = abstraction.as_weighted_graph()
-        cands = _cycle_candidates(graph)
-        value = cands[0][0].value
-        if lower is None or value > lower:
-            lower = value
-        bound = attracting_scc_bound(graph)
-        if bound is not None and (upper is None or bound < upper):
-            upper = bound
-        hit = None
-        for res, word in cands:
-            if provider.verify(word):
-                hit = word
-                break
-        iterations.append(
-            {
-                "l": l,
-                "value": value,
-                "n_states": len(states),
-                "sac": list(cands[0][1]),
-                "verified": hit is not None,
-                "oracle": {},
-                "wall_time": time.monotonic() - t0,
-            }
-        )
-        best_sac = cands[0][1]
-        if hit is not None:
-            return SaistReport(
-                status="Verified",
-                saist_lower=value,
-                saist_upper=value if upper is None else min(upper, value),
-                sac_word=hit,
-                l_reached=l,
-                witness=None,
-                h=1.0,
-                iterations=iterations,
-            )
-    return SaistReport(
-        status="BoundsOnly",
-        saist_lower=lower,
-        saist_upper=upper,
-        sac_word=best_sac,
-        l_reached=l_max,
-        witness=None,
-        h=1.0,
-        iterations=iterations,
+
+    return _refinement_loop(
+        next_abstraction, lambda word: VerifyResult(provider.verify(word)), l_max, 1.0
     )
 
 

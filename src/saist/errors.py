@@ -25,10 +25,6 @@ class SolverError(SaistError):
     """The external solver produced a malformed or unexpected reply."""
 
 
-class OracleError(SaistError):
-    """A feasibility oracle failed irrecoverably."""
-
-
 class RankDeficientBasis(SaistError):
     """A subspace basis matrix does not have full column rank."""
 

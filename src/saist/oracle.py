@@ -139,10 +139,10 @@ class ConeOracle:
         worst = np.concatenate([worst, _worst(starts, mats, signs)])
         return np.vstack([self.pool, starts]), worst, mats, signs
 
-    def _ascend(self, pts, worst, mats, signs, budget):
+    def _ascend(self, pts, worst, mats, signs):
         """Locally improve the most promising points; a witness or None."""
         order = np.argsort(worst)[::-1][:8]
-        steps = max(20, budget // max(1, len(order)))
+        steps = max(20, self.budget // max(1, len(order)))
         for i in order:
             x, mm = kernels.min_margin_ascent(
                 pts[i], mats, signs, steps=steps, tol=self.witness_tol
@@ -161,12 +161,11 @@ class ConeOracle:
         self.stats["sampling_hits"] += 1
         return self._store(key, FeasibilityVerdict(Status.FEASIBLE, x, Method.SAMPLING))
 
-    def feasible(self, cone: ConeSystem, budget=None, policy=None) -> FeasibilityVerdict:
+    def feasible(self, cone: ConeSystem, policy=None) -> FeasibilityVerdict:
         """Pool first.  Under the conservative policy a witness ascent follows
         and a miss is Unknown.  When exactness is demanded, n <= 2 goes
         straight to the engine, which is exact there; n >= 3 tries an
         S-procedure emptiness certificate, then the ascent, then the engine."""
-        budget = self.budget if budget is None else budget
         policy = self.policy if policy is None else policy
         key = (tuple(cone.word), cone.variant)
         self.stats["queries"] += 1
@@ -182,7 +181,7 @@ class ConeOracle:
             if worst[best] > self.witness_tol:
                 return self._sampled(key, pts[best] / np.linalg.norm(pts[best]))
             if policy is Policy.CONSERVATIVE:
-                x = self._ascend(*pool, budget)
+                x = self._ascend(*pool)
                 if x is not None:
                     return self._sampled(key, x)
                 return self._store(key, FeasibilityVerdict(Status.UNKNOWN, None, Method.SAMPLING))
@@ -194,7 +193,7 @@ class ConeOracle:
                     key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
                 )
             if cached is None:
-                x = self._ascend(*pool, budget)
+                x = self._ascend(*pool)
                 if x is not None:
                     return self._sampled(key, x)
         if self.engine is None:

@@ -76,9 +76,6 @@ class DiscretizedSystem:
     def n(self):
         return self.M.shape[1]
 
-    def alphabet(self):
-        return range(1, self.kbar + 1)
-
 
 @dataclass(frozen=True)
 class SampleTrajectory:

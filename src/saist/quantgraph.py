@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import networkx as nx
 import numpy as np
 
 from .errors import ConfigError
@@ -62,25 +61,19 @@ class CycleResult:
     value: Fraction
     cycle: tuple  # vertex indices, canonical rotation
 
-    def word(self, graph: WeightedGraph):
-        return tuple(graph.labels[v] for v in self.cycle)
-
 
 def _label_key(label):
-    # labels may mix types (e.g. after simplify_wts); compare via str
+    # the string order fixes which candidate cycle the driver tries first,
+    # and so the reported word: "(10,)" sorts before "(2,)"
     return str(label)
 
 
 def canonical_rotation(cycle, keys):
     """Rotation of `cycle` minimizing the key sequence (ties by vertex ids)."""
-    m = len(cycle)
-    best = None
-    for r in range(m):
-        rot = cycle[r:] + cycle[:r]
-        cand = (tuple(_label_key(keys[v]) for v in rot), tuple(rot))
-        if best is None or cand < best:
-            best = cand
-    return tuple(best[1])
+    cycle = tuple(cycle)
+    ks = tuple(_label_key(keys[v]) for v in cycle)
+    r = min(range(len(cycle)), key=lambda r: (ks[r:] + ks[:r], cycle[r:] + cycle[:r]))
+    return cycle[r:] + cycle[:r]
 
 
 def tarjan_scc(n, adj):
@@ -199,48 +192,75 @@ def _tight_subgraph(graph, weights_int, mu_int):
     return [(int(u), int(v)) for u, v, t in zip(src, dst, tight) if t]
 
 
-def _find_cycle(n, edges, labels):
-    """Deterministic DFS cycle search; neighbor order by (label, vertex)."""
-    adj = [[] for _ in range(n)]
+def _circuits(succ, inside, s):
+    """Elementary cycles through `s` within the strongly connected vertex set
+    `inside`, by Johnson's blocking rule: a vertex stays blocked until a
+    cycle through it closes, so no path is explored twice in vain."""
+    nbrs = {v: sorted(w for w in succ[v] if w in inside) for v in inside}
+    blocked = {s}
+    waiting = {v: set() for v in inside}
+    path = [s]
+    closed = [False]
+    stack = [iter(nbrs[s])]
+    while stack:
+        for w in stack[-1]:
+            if w == s:
+                yield tuple(path)
+                closed[-1] = True
+            elif w not in blocked:
+                path.append(w)
+                closed.append(False)
+                stack.append(iter(nbrs[w]))
+                blocked.add(w)
+                break
+        else:
+            stack.pop()
+            v = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                todo = [v]
+                while todo:
+                    u = todo.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        todo.extend(waiting[u])
+                        waiting[u].clear()
+            else:
+                for w in nbrs[v]:
+                    waiting[w].add(v)
+
+
+def elementary_cycles(n, edges):
+    """Every elementary cycle of the digraph on 0..n-1, once each (Johnson,
+    "Finding all the elementary circuits of a directed graph", SIAM J.
+    Comput. 1975): per strongly connected component, the cycles through its
+    smallest vertex, then the same on the component without that vertex.
+    Iterative throughout, and each cycle costs O(V + E)."""
+    succ = [set() for _ in range(n)]
     for u, v in edges:
-        adj[u].append(v)
-    for u in range(n):
-        adj[u].sort(key=lambda v: (_label_key(labels[v]), v))
-    color = [0] * n
-    for root in sorted(range(n), key=lambda v: (_label_key(labels[v]), v)):
-        if color[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        path = [root]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            found = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    i = path.index(nxt)
-                    return path[i:]
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    found = True
-                    break
-            if not found:
-                color[v] = 2
-                path.pop()
-                stack.pop()
-    return None
+        succ[u].add(v)
+    todo = [list(range(n))]
+    while todo:
+        verts = todo.pop()
+        local = {v: i for i, v in enumerate(verts)}
+        adj = [[local[w] for w in sorted(succ[v]) if w in local] for v in verts]
+        for comp in tarjan_scc(len(verts), adj):
+            comp = sorted(verts[i] for i in comp)
+            s = comp[0]
+            if len(comp) > 1 or s in succ[s]:
+                yield from _circuits(succ, set(comp), s)
+                todo.append(comp[1:])
 
 
 def min_mean_cycle(graph: WeightedGraph) -> CycleResult:
     """Karp's recurrence per SCC; exact rational value; canonical cycle."""
-    results = min_mean_cycles(graph, max_cycles=1)
-    return results[0]
+    return min_mean_cycles(graph, max_cycles=1)[0]
 
 
 def min_mean_cycles(graph: WeightedGraph, max_cycles=32):
-    """All (up to max_cycles) canonical-rotation-distinct minimum mean cycles."""
+    """All (up to max_cycles) canonical-rotation-distinct minimum mean cycles,
+    in label order."""
     weights_int, den = _int_weights(graph)
     adj = graph.successors()
     comps = tarjan_scc(graph.n, adj)
@@ -251,24 +271,13 @@ def min_mean_cycles(graph: WeightedGraph, max_cycles=32):
             mu = cand
     if mu is None:
         raise ConfigError("graph has no cycle; non-blocking graphs always do")
-    tight = _tight_subgraph(graph, weights_int, mu)
-    value = mu / den
-    found = {}
-    if max_cycles <= 1:
-        cyc = _find_cycle(graph.n, tight, graph.labels)
-        canon = canonical_rotation(cyc, graph.labels)
-        return [CycleResult(value=value, cycle=canon)]
-    g = nx.DiGraph(tight)
-    for cyc in nx.simple_cycles(g):
-        canon = canonical_rotation(tuple(cyc), graph.labels)
-        found[canon] = CycleResult(value=value, cycle=canon)
+    found = set()
+    for cyc in elementary_cycles(graph.n, _tight_subgraph(graph, weights_int, mu)):
+        found.add(canonical_rotation(cyc, graph.labels))
         if len(found) >= max_cycles:
             break
-    ordered = sorted(
-        found.values(),
-        key=lambda r: (tuple(_label_key(graph.labels[v]) for v in r.cycle), r.cycle),
-    )
-    return ordered
+    ordered = sorted(found, key=lambda c: (tuple(_label_key(graph.labels[v]) for v in c), c))
+    return [CycleResult(value=mu / den, cycle=c) for c in ordered]
 
 
 def max_mean_cycle(graph: WeightedGraph) -> CycleResult:
@@ -299,27 +308,3 @@ def attracting_scc_bound(graph: WeightedGraph) -> Fraction:
         if best is None or val < best:
             best = val
     return best
-
-
-def simplify_wts(graph: WeightedGraph) -> WeightedGraph:
-    """Convert an arbitrary WTS into a simple one via artificial states.
-
-    Each weight-distinct outgoing edge group of a vertex gains an artificial
-    relay with a zero-weight first hop, so every limit average halves.
-    Already-simple graphs are returned unchanged.
-    """
-    by_src = {}
-    for u, v, w in graph.edges:
-        by_src.setdefault(u, {}).setdefault(w, []).append(v)
-    if all(len(groups) == 1 for groups in by_src.values()):
-        return graph
-    labels = list(graph.labels)
-    edges = []
-    for u in range(graph.n):
-        for w, targets in sorted(by_src[u].items()):
-            relay = len(labels)
-            labels.append((graph.labels[u], w))
-            edges.append((u, relay, Fraction(0)))
-            for v in targets:
-                edges.append((relay, v, w))
-    return WeightedGraph(labels=tuple(labels), edges=tuple(edges))

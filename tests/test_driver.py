@@ -58,6 +58,14 @@ def test_parse_config_errors():
     bad["B"] = [[1.0, 0.0]]
     with pytest.raises(ConfigError):
         parse_config(bad)
+    with pytest.raises(ConfigError, match="'sampling' or 'hybrid'"):
+        parse_config(config_json(oracle="exact"))
+
+
+def test_parse_config_ignores_unknown_keys():
+    cfg = parse_config(config_json(budget=5, workers=2))
+    assert cfg.oracle == "hybrid"
+    assert not hasattr(cfg, "budget")
 
 
 def test_compute_saist_verified_small():

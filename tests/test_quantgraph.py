@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,31 +11,31 @@ from saist import (
     max_mean_cycle,
     min_mean_cycle,
     min_mean_cycles,
-    simplify_wts,
 )
 from saist.errors import ConfigError
 from saist.quantgraph import canonical_rotation, tarjan_scc
 
 
-def brute_force_cycle_means(graph):
-    """Independent oracle: every simple cycle by DFS path extension."""
+def brute_force_cycles(graph):
+    """Independent oracle: every simple cycle by DFS path extension, as
+    (mean, vertex tuple) pairs."""
     n = graph.n
     adj = [[] for _ in range(n)]
     for u, v, w in graph.edges:
         adj[u].append((v, w))
-    means = []
+    cycles = []
 
     def extend(path, weight):
         u = path[-1]
         for v, w in adj[u]:
             if v == path[0]:
-                means.append(Fraction(weight + w, len(path)))
+                cycles.append((Fraction(weight + w, len(path)), tuple(path)))
             elif v not in path and v > path[0]:
                 extend(path + [v], weight + w)
 
     for s in range(n):
         extend([s], Fraction(0))
-    return means
+    return cycles
 
 
 def ring(weights):
@@ -91,9 +94,12 @@ def test_matches_brute_force_oracle():
             for _ in range(2 * n)
         ]
         g = WeightedGraph(labels=tuple(range(n)), edges=tuple(set(edges + extra)))
-        means = brute_force_cycle_means(g)
-        assert min_mean_cycle(g).value == min(means)
-        assert max_mean_cycle(g).value == max(means)
+        cycles = brute_force_cycles(g)
+        lo = min(m for m, _ in cycles)
+        assert min_mean_cycle(g).value == lo
+        assert max_mean_cycle(g).value == max(m for m, _ in cycles)
+        tight = {canonical_rotation(c, g.labels) for m, c in cycles if m == lo}
+        assert {r.cycle for r in min_mean_cycles(g)} == tight
 
 
 def test_extracted_cycle_achieves_value():
@@ -170,17 +176,28 @@ def test_attracting_bound():
     assert attracting_scc_bound(g) == Fraction(3)
 
 
-def test_simplify_halves_mean():
+def test_long_tight_cycle_beyond_recursion_limit():
+    n = sys.getrecursionlimit() + 500
     g = WeightedGraph(
-        labels=("x", "y"),
-        edges=((0, 1, Fraction(2)), (0, 0, Fraction(4)), (1, 0, Fraction(6))),
+        labels=tuple(range(n)),
+        edges=tuple((i, (i + 1) % n, Fraction(2)) for i in range(n))
+        + ((0, 0, Fraction(5)),),
     )
-    s = simplify_wts(g)
-    assert min_mean_cycle(s).value == min_mean_cycle(g).value / 2
-    assert max_mean_cycle(s).value == max_mean_cycle(g).value / 2
-    # already-simple graphs come back unchanged
-    simple = ring([3, 3, 3])
-    assert simplify_wts(simple) is simple
+    (res,) = min_mean_cycles(g)
+    assert res.value == 2
+    assert res.cycle == tuple(range(n))
+
+
+def test_import_loads_no_networkx():
+    import saist
+
+    src = os.path.dirname(os.path.dirname(saist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, saist; print(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_non_blocking_required():
