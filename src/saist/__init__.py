@@ -15,7 +15,7 @@ from .petc import (
     perturb,
 )
 from .cones import ConeSystem, QuadConstraint, Sense, sigma_cone, subspace_contained
-from .oracle import ConeOracle, FeasibilityVerdict, Policy, Status
+from .oracle import ConeOracle, FeasibilityVerdict, Status
 from .abstraction import TrafficAbstraction, build_l_complete, domino_transitions, refine_sac
 from .quantgraph import (
     WeightedGraph,
@@ -65,7 +65,6 @@ __all__ = [
     "subspace_contained",
     "ConeOracle",
     "FeasibilityVerdict",
-    "Policy",
     "Status",
     "TrafficAbstraction",
     "build_l_complete",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cones import ConeSystem, cone_step, sigma_cone, subspace_contained
 from .errors import DefectiveMatrix, RankDeficientBasis, SingularCycleMatrix
-from .oracle import Policy
+from .oracle import Status
 from .petc import DiscretizedSystem, trace
 
 STRICT_TOL = 1e-10
@@ -286,7 +286,4 @@ def epsilon_inflation_empty(cone: ConeSystem, epsilon: float, oracle) -> bool:
     """Whether the epsilon-inflated cone is (exactly) empty."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    from .oracle import Status
-
-    v = oracle.feasible(cone.inflate(epsilon), policy=Policy.EXACT_REQUIRED)
-    return v.status is Status.INFEASIBLE
+    return oracle.feasible(cone.inflate(epsilon)).status is Status.INFEASIBLE

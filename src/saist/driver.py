@@ -11,7 +11,7 @@ import numpy as np
 from .abstraction import build_l_complete, domino_transitions, refine_sac, TrafficAbstraction
 from .cycle_verify import VerifyResult, verify_cycle
 from .errors import ConfigError, CrosscheckFailed
-from .oracle import ConeOracle, Policy
+from .oracle import ConeOracle
 from .petc import (
     PetcSystem,
     discretize,
@@ -31,17 +31,12 @@ class SaistConfig:
     system: PetcSystem
     l_max: int = 50
     mode: str = "full"  # or "targeted"
-    oracle: str = "hybrid"  # sampling | hybrid
     solver_path: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("full", "targeted"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.oracle not in ("sampling", "hybrid"):
-            raise ConfigError(
-                f"unknown oracle policy {self.oracle!r}; use 'sampling' or 'hybrid'"
-            )
         if self.l_max < 1:
             raise ConfigError("l_max must be >= 1")
 
@@ -78,7 +73,7 @@ def parse_config(data: dict, **overrides) -> SaistConfig:
         raise ConfigError("trigger type must be 'relative_error' or 'quadratic'")
     sys = PetcSystem(A=A, BK=B @ K, Qtrig=Q, h=float(data["h"]), kbar=int(data["kbar"]))
     kwargs = {}
-    for key in ("l_max", "mode", "oracle", "solver_path", "seed"):
+    for key in ("l_max", "mode", "solver_path", "seed"):
         if key in data:
             kwargs[key] = data[key]
     kwargs.update(overrides)
@@ -144,21 +139,6 @@ class SaistReport:
 
     def to_json(self, include_timing=True):
         return json.dumps(self.to_json_dict(include_timing), indent=2, sort_keys=True)
-
-
-def make_oracle(config: SaistConfig, disc=None) -> ConeOracle:
-    disc = discretize(config.system) if disc is None else disc
-    if config.oracle == "sampling":
-        engine = None
-        policy = Policy.CONSERVATIVE
-    else:
-        engine = (
-            SolverClient(config.solver_path)
-            if config.solver_path
-            else "builtin"
-        )
-        policy = Policy.EXACT_REQUIRED
-    return ConeOracle(disc, engine=engine, seed=config.seed, policy=policy)
 
 
 def _cycle_candidates(graph: WeightedGraph, max_cycles=32):
@@ -256,7 +236,8 @@ def compute_saist(config: SaistConfig) -> SaistReport:
     """Refine the traffic abstraction until its smallest-in-average cycle is a
     proven behavior of the closed loop, or until the depth budget runs out."""
     disc = discretize(config.system)
-    oracle = make_oracle(config, disc)
+    engine = SolverClient(config.solver_path) if config.solver_path else "builtin"
+    oracle = ConeOracle(disc, engine=engine, seed=config.seed)
 
     def next_abstraction(prev, sac_states):
         if prev is not None and config.mode == "targeted":

@@ -17,10 +17,6 @@ class NonFiniteState(SaistError):
     """A simulated trajectory diverged beyond floating-point range."""
 
 
-class SolverUnavailable(SaistError):
-    """An exact verdict was required but no decision engine is configured."""
-
-
 class SolverError(SaistError):
     """The external solver produced a malformed or unexpected reply."""
 

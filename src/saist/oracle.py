@@ -9,10 +9,11 @@ import numpy as np
 from . import kernels
 from .cones import ConeSystem, checked_word, cone_step, stack
 from .decider import BuiltinDecider, s_procedure_certificate
-from .errors import SolverUnavailable
 from .petc import DiscretizedSystem
 
 GOLDEN = 0.6180339887498949
+BUDGET = 10_000  # witness-ascent steps per query, shared by its starts
+WITNESS_TOL = 1e-9  # smallest margin that makes a point a witness
 
 
 class Status(enum.Enum):
@@ -25,11 +26,6 @@ class Method(enum.Enum):
     SAMPLING = "sampling"
     CERTIFICATE = "certificate"
     EXTERNAL = "external"
-
-
-class Policy(enum.Enum):
-    CONSERVATIVE = "conservative"
-    EXACT_REQUIRED = "exact_required"
 
 
 @dataclass(frozen=True)
@@ -79,30 +75,20 @@ def _unit_pool(n, size, seed):
 class ConeOracle:
     """Decides sigma-cone nonemptiness for one discretized PETC system.
 
-    Verdicts are cached by word; Unknown verdicts are upgraded when a later
-    query demands exactness.  `feasible_word` extends the cone of the word's
-    parent by one letter, with the pool's margins on the new forms only;
-    the parents it keeps are the words passed to the last `retain`, plus the
-    feasible words decided since.  `engine` is anything with
+    A cone has one path to its verdict: the point pool, then for n >= 3 an
+    emptiness certificate and a witness ascent, then the exact engine.  The
+    first verdict for a word, Unknown included, is cached and returned from
+    then on.  `feasible_word` extends the cone of the word's parent by one
+    letter, with the pool's margins on the new forms only; the parents it
+    keeps are the words passed to the last `retain`, plus the feasible
+    words decided since.  `engine` is anything with
     ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``, typically a
     :class:`saist.smtlib.SolverClient` or :class:`saist.decider.BuiltinDecider`.
     """
 
-    def __init__(
-        self,
-        disc: DiscretizedSystem,
-        engine="builtin",
-        budget=10_000,
-        seed=0,
-        policy=Policy.CONSERVATIVE,
-        witness_tol=1e-9,
-        pool_size=512,
-    ):
+    def __init__(self, disc: DiscretizedSystem, engine="builtin", seed=0, pool_size=512):
         self.disc = disc
         self.engine = BuiltinDecider() if engine == "builtin" else engine
-        self.budget = budget
-        self.policy = policy
-        self.witness_tol = witness_tol
         self.pool = _unit_pool(disc.n, pool_size, seed)
         self._verdicts = {}
         self._witnesses = {}
@@ -142,12 +128,10 @@ class ConeOracle:
     def _ascend(self, pts, worst, mats, signs):
         """Locally improve the most promising points; a witness or None."""
         order = np.argsort(worst)[::-1][:8]
-        steps = max(20, self.budget // max(1, len(order)))
+        steps = max(20, BUDGET // max(1, len(order)))
         for i in order:
-            x, mm = kernels.min_margin_ascent(
-                pts[i], mats, signs, steps=steps, tol=self.witness_tol
-            )
-            if mm > self.witness_tol:
+            x, mm = kernels.min_margin_ascent(pts[i], mats, signs, steps=steps, tol=WITNESS_TOL)
+            if mm > WITNESS_TOL:
                 return x / np.linalg.norm(x)
         return None
 
@@ -161,45 +145,29 @@ class ConeOracle:
         self.stats["sampling_hits"] += 1
         return self._store(key, FeasibilityVerdict(Status.FEASIBLE, x, Method.SAMPLING))
 
-    def feasible(self, cone: ConeSystem, policy=None) -> FeasibilityVerdict:
-        """Pool first.  Under the conservative policy a witness ascent follows
-        and a miss is Unknown.  When exactness is demanded, n <= 2 goes
-        straight to the engine, which is exact there; n >= 3 tries an
-        S-procedure emptiness certificate, then the ascent, then the engine."""
-        policy = self.policy if policy is None else policy
+    def feasible(self, cone: ConeSystem) -> FeasibilityVerdict:
+        """The cached verdict, if any.  Else the pool; then, for n >= 3, an
+        S-procedure emptiness certificate and a witness ascent; then the
+        engine, which is exact for n <= 2."""
         key = (tuple(cone.word), cone.variant)
         self.stats["queries"] += 1
         cached = self._verdicts.get(key)
-        if cached is not None and (
-            cached.status is not Status.UNKNOWN or policy is Policy.CONSERVATIVE
-        ):
+        if cached is not None:
             return cached
-        if cached is None:
-            pool = self._pool(cone)
-            pts, worst, *_ = pool
-            best = int(np.argmax(worst))
-            if worst[best] > self.witness_tol:
-                return self._sampled(key, pts[best] / np.linalg.norm(pts[best]))
-            if policy is Policy.CONSERVATIVE:
-                x = self._ascend(*pool)
-                if x is not None:
-                    return self._sampled(key, x)
-                return self._store(key, FeasibilityVerdict(Status.UNKNOWN, None, Method.SAMPLING))
-        # exactness demanded and nothing found so far (or a cached Unknown)
+        pool = self._pool(cone)
+        pts, worst, *_ = pool
+        best = int(np.argmax(worst))
+        if worst[best] > WITNESS_TOL:
+            return self._sampled(key, pts[best] / np.linalg.norm(pts[best]))
         if cone.n >= 3:
             if s_procedure_certificate(cone) is not None:
                 self.stats["certified"] += 1
                 return self._store(
                     key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
                 )
-            if cached is None:
-                x = self._ascend(*pool)
-                if x is not None:
-                    return self._sampled(key, x)
-        if self.engine is None:
-            raise SolverUnavailable(
-                "exact verdict required but no solver or decision engine is configured"
-            )
+            x = self._ascend(*pool)
+            if x is not None:
+                return self._sampled(key, x)
         self.stats["engine_calls"] += 1
         reply, witness = self.engine.check(cone)
         if reply == "sat":
@@ -235,17 +203,14 @@ class ConeOracle:
         words = set(words)
         self._memo = {w: m for w, m in self._memo.items() if w in words}
 
-    def feasible_word(self, word, policy=None) -> FeasibilityVerdict:
+    def feasible_word(self, word) -> FeasibilityVerdict:
         word = tuple(word)
         cached = self._verdicts.get((word, ""))
-        pol = self.policy if policy is None else policy
-        if cached is not None and (
-            cached.status is not Status.UNKNOWN or pol is Policy.CONSERVATIVE
-        ):
+        if cached is not None:
             return cached
         word = checked_word(self.disc, word)
         memo = self._memo[word] = self._extend(word)
-        v = self.feasible(memo.cone, policy=policy)
+        v = self.feasible(memo.cone)
         if not v.maybe_feasible:
             del self._memo[word]
         return v

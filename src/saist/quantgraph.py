@@ -289,22 +289,14 @@ def attracting_scc_bound(graph: WeightedGraph) -> Fraction:
     """Smallest maximum cycle mean over attracting SCCs: an upper bound on the
     concrete system's smallest limit average."""
     adj = graph.successors()
-    comps = tarjan_scc(graph.n, adj)
+    weights_int, den = _int_weights(graph)
+    negated = [-w for w in weights_int]
     best = None
-    for comp in comps:
+    for comp in tarjan_scc(graph.n, adj):
         comp_set = set(comp)
         if any(v not in comp_set for u in comp for v in adj[u]):
             continue  # edges escape: not attracting
-        sub_idx = {v: i for i, v in enumerate(comp)}
-        sub = WeightedGraph(
-            labels=tuple(graph.labels[v] for v in comp),
-            edges=tuple(
-                (sub_idx[u], sub_idx[v], w)
-                for u, v, w in graph.edges
-                if u in comp_set and v in comp_set
-            ),
-        )
-        val = max_mean_cycle(sub).value
+        val = -_karp_component(comp, graph.edges, negated) / den
         if best is None or val < best:
             best = val
     return best

@@ -4,7 +4,7 @@ import pytest
 from saist import build_l_complete, discretize, domino_transitions, refine_sac, trace
 from saist.abstraction import mixed_transitions
 from saist.errors import EmptyRefinement
-from saist.oracle import ConeOracle, Policy
+from saist.oracle import ConeOracle
 
 from test_petc import system_2d
 
@@ -19,7 +19,7 @@ class MockOracle:
         self.alphabet = range(1, kbar + 1)
         self.queries = 0
 
-    def feasible_word(self, word, policy=None):
+    def feasible_word(self, word):
         self.queries += 1
         word = tuple(word)
 
@@ -119,7 +119,7 @@ def test_targeted_refinement_sequence():
             self.alphabet = (1, 2)
             self.queries = []
 
-        def feasible_word(self, word, policy=None):
+        def feasible_word(self, word):
             self.queries.append(tuple(word))
 
             class V:
@@ -151,7 +151,7 @@ def test_refine_empty_extension_raises():
         kbar = 2
         alphabet = (1, 2)
 
-        def feasible_word(self, word, policy=None):
+        def feasible_word(self, word):
             class V:
                 maybe_feasible = len(word) == 1
 
@@ -177,7 +177,7 @@ def disc():
 
 def test_concrete_soundness_windows(disc):
     # every l-window of simulated traces is a state of the l-complete model
-    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    oracle = ConeOracle(disc)
     rng = np.random.default_rng(0)
     for l in (1, 2, 3):
         model = build_l_complete(disc, oracle, l)
@@ -190,8 +190,8 @@ def test_concrete_soundness_windows(disc):
 
 
 def test_non_blocking_and_determinism(disc):
-    o1 = ConeOracle(disc, seed=5, policy=Policy.EXACT_REQUIRED)
-    o2 = ConeOracle(disc, seed=5, policy=Policy.EXACT_REQUIRED)
+    o1 = ConeOracle(disc, seed=5)
+    o2 = ConeOracle(disc, seed=5)
     a = build_l_complete(disc, o1, 3)
     b = build_l_complete(disc, o2, 3)
     assert a.states == b.states and a.transitions == b.transitions
@@ -202,7 +202,7 @@ def test_non_blocking_and_determinism(disc):
 
 
 def test_dot_export(disc):
-    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    oracle = ConeOracle(disc)
     model = build_l_complete(disc, oracle, 1)
     dot = model.to_dot()
     assert dot.startswith("digraph")

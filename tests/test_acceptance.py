@@ -35,7 +35,6 @@ from saist import (
     trace,
     build_l_complete,
     ConeOracle,
-    Policy,
     WeightedGraph,
     min_mean_cycle,
     max_mean_cycle,
@@ -214,7 +213,7 @@ def test_criterion_06_constructive_soundness(reports_2d):
 
 def test_criterion_07_abstraction_soundness():
     disc = discretize(sys_2d(0.3))
-    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED, seed=0)
+    oracle = ConeOracle(disc, seed=0)
     rng = np.random.default_rng(0)
     traces = []
     for _ in range(100):
@@ -234,7 +233,7 @@ def test_criterion_08_monotonicity():
     failures = []
     for sigma in (0.2, 0.5):
         disc = discretize(sys_2d(sigma))
-        oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED, seed=0)
+        oracle = ConeOracle(disc, seed=0)
         prev = None
         for l in range(1, 7):
             g = build_l_complete(disc, oracle, l).as_weighted_graph()

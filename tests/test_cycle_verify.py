@@ -7,6 +7,7 @@ from saist import (
     PetcSystem,
     QuadConstraint,
     Sense,
+    Status,
     basic_invariant_subspaces,
     cycle_matrix,
     discretize,
@@ -229,6 +230,5 @@ def test_disproved_word_stays_empty_inflated(disc05):
     oracle = ConeOracle(disc05)
     # (1,) requires immediate triggering, impossible for sigma = 0.5
     word = (1,)
-    v = oracle.feasible_word(word)
-    if not v.maybe_feasible:
-        assert epsilon_inflation_empty(sigma_cone(disc05, word), 1e-8, oracle)
+    assert oracle.feasible_word(word).status is Status.INFEASIBLE
+    assert epsilon_inflation_empty(sigma_cone(disc05, word), 1e-8, oracle)

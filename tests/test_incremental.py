@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from saist import build_l_complete, discretize, kernels, refine_sac, sigma_cone
 from saist.cones import cone_step
-from saist.oracle import ConeOracle, Policy
+from saist.oracle import ConeOracle
 
 from test_oracle import system_3d
 from test_petc import system_2d
@@ -98,8 +98,8 @@ def verdicts(oracle):
 @pytest.mark.parametrize("name,depth", [("2d", 8), ("3d", 2)])
 def test_memo_build_matches_scratch_cones(name, depth):
     disc = disc_of(name)
-    memo = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
-    ref = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    memo = ConeOracle(disc)
+    ref = ConeOracle(disc)
     model, level = None, []
     for l in range(1, depth + 1):
         model = build_l_complete(disc, memo, l, prev=model)
@@ -115,8 +115,8 @@ def test_memo_build_matches_scratch_cones(name, depth):
 
 def test_build_from_scratch_equals_build_from_prev():
     disc = disc_of("2d")
-    a = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
-    b = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    a = ConeOracle(disc)
+    b = ConeOracle(disc)
     model = None
     for l in range(1, 7):
         model = build_l_complete(disc, a, l, prev=model)
@@ -128,7 +128,7 @@ def test_build_from_scratch_equals_build_from_prev():
 
 def test_refine_keeps_only_the_new_states():
     disc = disc_of("2d")
-    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    oracle = ConeOracle(disc)
     model = build_l_complete(disc, oracle, 1)
     for _ in range(4):
         sac = [w for w in model.states if w[0] == min(s[0] for s in model.states)]
@@ -138,7 +138,7 @@ def test_refine_keeps_only_the_new_states():
 
 def test_prev_must_be_uniform_and_not_deeper():
     disc = disc_of("2d")
-    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    oracle = ConeOracle(disc)
     model = build_l_complete(disc, oracle, 3)
     with pytest.raises(ValueError):
         build_l_complete(disc, oracle, 2, prev=model)

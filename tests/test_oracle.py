@@ -5,18 +5,17 @@ from saist import (
     ConeOracle,
     ConeSystem,
     PetcSystem,
-    Policy,
     QuadConstraint,
     Sense,
     Status,
+    build_l_complete,
     discretize,
     relative_error_trigger,
     trace,
 )
 from saist import kernels
 from saist.cones import sigma_cone
-from saist.decider import BuiltinDecider, decide_planar, decide_sphere_bnb
-from saist.errors import SolverUnavailable
+from saist.decider import decide_planar, decide_sphere_bnb
 
 from test_petc import system_2d
 
@@ -32,6 +31,13 @@ class NoEngine:
 
     def check(self, cone):
         raise AssertionError("engine called")
+
+
+class GiveUpEngine:
+    """An exact engine that answers unknown, as a solver timeout does."""
+
+    def check(self, cone):
+        return "unknown", None
 
 
 def cone_of(mats_senses):
@@ -131,7 +137,7 @@ def test_oracle_feasible_words_have_witnesses(disc):
 
 
 def test_oracle_exact_infeasible(disc):
-    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    oracle = ConeOracle(disc)
     empty = cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)])
     v = oracle.feasible(empty)
     assert v.status is Status.INFEASIBLE
@@ -141,26 +147,18 @@ def test_oracle_exact_infeasible(disc):
     assert oracle.stats["engine_calls"] == calls
 
 
-def test_oracle_conservative_unknown(disc):
-    oracle = ConeOracle(disc, engine=None, policy=Policy.CONSERVATIVE, pool_size=4, budget=10)
-    empty = cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)])
-    v = oracle.feasible(empty)
+def test_engine_unknown_is_cached_and_kept(disc):
+    oracle = ConeOracle(disc, engine=GiveUpEngine())
+    # (1,) misses the pool, so the engine is asked and gives up
+    v = oracle.feasible_word((1,))
     assert v.status is Status.UNKNOWN and v.maybe_feasible
-
-
-def test_oracle_exact_without_engine_raises(disc):
-    oracle = ConeOracle(disc, engine=None, policy=Policy.EXACT_REQUIRED, pool_size=4)
-    empty = cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)])
-    with pytest.raises(SolverUnavailable):
-        oracle.feasible(empty)
-
-
-def test_unknown_upgraded_on_exact_query(disc):
-    oracle = ConeOracle(disc, engine=None, policy=Policy.CONSERVATIVE, pool_size=4, budget=10)
-    empty = cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)])
-    assert oracle.feasible(empty).status is Status.UNKNOWN
-    oracle.engine = BuiltinDecider()
-    assert oracle.feasible(empty, policy=Policy.EXACT_REQUIRED).status is Status.INFEASIBLE
+    assert oracle.feasible_word((1,)) is v
+    assert oracle.stats["engine_calls"] == 1
+    # Unknown counts as feasible: the word stays a state of the abstraction
+    model = build_l_complete(disc, oracle, 1)
+    assert (1,) in model.states
+    unknown = [w for w in model.states if oracle.feasible_word(w).status is Status.UNKNOWN]
+    assert oracle.stats["engine_calls"] == len(unknown)
 
 
 def test_verdict_determinism(disc):
@@ -175,20 +173,11 @@ def test_verdict_determinism(disc):
 
 
 def test_oracle_certifies_empty_3d_cone_without_engine():
-    oracle = ConeOracle(discretize(system_3d()), engine=NoEngine(), policy=Policy.EXACT_REQUIRED)
+    oracle = ConeOracle(discretize(system_3d()), engine=NoEngine())
     empty = cone_of([(np.diag([1.0, -1.0, -1.0]), Sense.STRICT_POSITIVE),
                      (np.diag([-1.0, 1.0, -2.0]), Sense.STRICT_POSITIVE),
                      (np.diag([0.5, 0.5, 3.0]), Sense.NON_POSITIVE)])
     v = oracle.feasible(empty)
-    assert v.status is Status.INFEASIBLE
-    assert oracle.stats["engine_calls"] == 0 and oracle.stats["certified"] == 1
-
-
-def test_oracle_certifies_cached_unknown_3d_cone():
-    oracle = ConeOracle(discretize(system_3d()), engine=NoEngine(), pool_size=4, budget=10)
-    empty = cone_of([(-np.eye(3), Sense.STRICT_POSITIVE)])
-    assert oracle.feasible(empty).status is Status.UNKNOWN
-    v = oracle.feasible(empty, policy=Policy.EXACT_REQUIRED)
     assert v.status is Status.INFEASIBLE
     assert oracle.stats["engine_calls"] == 0 and oracle.stats["certified"] == 1
 
@@ -198,7 +187,7 @@ def test_exact_2d_query_skips_the_ascent(disc, monkeypatch):
         raise AssertionError("witness ascent run in 2-D")
 
     monkeypatch.setattr(kernels, "min_margin_ascent", no_ascent)
-    oracle = ConeOracle(disc, policy=Policy.EXACT_REQUIRED)
+    oracle = ConeOracle(disc)
     v = oracle.feasible(cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)]))
     assert v.status is Status.INFEASIBLE
     assert oracle.stats["engine_calls"] == 1 and oracle.stats["certified"] == 0

@@ -102,6 +102,38 @@ def test_matches_brute_force_oracle():
         assert {r.cycle for r in min_mean_cycles(g)} == tight
 
 
+def test_attracting_scc_bound_matches_brute_force():
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        pairs = [(u, int(rng.integers(0, n))) for u in range(n)]
+        for _ in range(rng.integers(0, n + 1)):
+            pairs.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
+        # mixed denominators exercise the integer scaling of the weights
+        edges = {(u, v, Fraction(int(rng.integers(1, 21)), int(rng.integers(1, 4)))) for u, v in pairs}
+        g = WeightedGraph(labels=tuple(range(n)), edges=tuple(edges))
+        reach = []
+        for s in range(n):
+            seen, todo = {s}, [s]
+            while todo:
+                u = todo.pop()
+                for a, b, _ in g.edges:
+                    if a == u and b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+            reach.append(seen)
+        # u's SCC attracts iff everything u reaches reaches u back
+        attracting = [all(u in reach[v] for v in reach[u]) for u in range(n)]
+        best = {}
+        for mean, cyc in brute_force_cycles(g):
+            if attracting[cyc[0]]:
+                scc = frozenset(reach[cyc[0]])
+                best[scc] = max(mean, best.get(scc, mean))
+        assert attracting_scc_bound(g) == min(best.values())
+
+
 def test_extracted_cycle_achieves_value():
     import numpy as np
 

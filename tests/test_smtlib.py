@@ -109,16 +109,14 @@ def test_client_missing_binary():
 def test_client_feeds_oracle(tmp_path):
     # end to end: the oracle escalates to the external process and accepts
     # its witness
-    from saist import ConeOracle, Policy, discretize
+    from saist import ConeOracle, discretize
 
     from test_petc import system_2d
 
     stub = tmp_path / "stub_unsat"
     write_stub(stub, "print('unsat')\n")
     disc = discretize(system_2d())
-    oracle = ConeOracle(
-        disc, engine=SolverClient(str(stub)), policy=Policy.EXACT_REQUIRED, pool_size=4
-    )
+    oracle = ConeOracle(disc, engine=SolverClient(str(stub)), pool_size=4)
     empty = ConeSystem(
         word=(1,), constraints=(QuadConstraint(-np.eye(2), Sense.STRICT_POSITIVE),)
     )
