@@ -109,7 +109,8 @@ def mixed_transitions(states) -> tuple:
 
 def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstraction:
     """Split each state along the candidate cycle into its feasible one-letter
-    extensions; everything else is kept as is."""
+    extensions; everything else is kept as is.  As in `build_l_complete`,
+    w + (k,) is not queried once w[1:] + (k,) is known infeasible."""
     sac = {tuple(w) for w in sac}
     unknown = sac - set(abstraction.states)
     if unknown:
@@ -120,7 +121,12 @@ def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstracti
         if w not in sac:
             new_states.append(w)
             continue
-        kept = [w + (k,) for k in alphabet if oracle.feasible_word(w + (k,)).maybe_feasible]
+        kept = [
+            w + (k,)
+            for k in alphabet
+            if not oracle.known_infeasible(w[1:] + (k,))
+            and oracle.feasible_word(w + (k,)).maybe_feasible
+        ]
         if not kept:
             raise EmptyRefinement(
                 f"word {w} has no feasible extension; oracle verdicts are inconsistent"

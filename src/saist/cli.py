@@ -31,6 +31,8 @@ def build_parser():
 
 
 def main(argv=None):
+    """Exit code 0 for Verified, 3 for BoundsOnly, 1 for an error; argparse
+    exits with 2 on a usage error."""
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as f:
@@ -63,7 +65,7 @@ def main(argv=None):
         if hi is not None:
             print(f"saist_upper: {hi} ({float(hi):.6g} steps, {float(hi) * report.h:.6g} time)")
         print(f"sac: {list(report.sac_word)}  l: {report.l_reached}")
-        return 0 if report.verified else 2
+        return 0 if report.verified else 3
     except (OSError, json.JSONDecodeError, SaistError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,13 +1,20 @@
 """Certified feasibility decisions for conjunctions of homogeneous quadratics.
 
 Used as the built-in exact engine when no external SMT solver is configured.
-Dimension 1 is direct evaluation, dimension 2 is exact critical-angle
-enumeration on the projective circle, dimension >= 3 is a Lipschitz
-branch-and-bound over the unit sphere that answers Unknown at budget
-exhaustion instead of guessing.
+Dimension 1 is direct evaluation.  Dimensions 2 and 3 share one scheme:
+restrict every form to a parametrised curve, find where each changes sign,
+and evaluate all the roots and arc midpoints in one einsum.  In 2-D the
+curve is the projective circle and the decision is exact
+(`decide_planar`); in 3-D the curves are the zero ovals of the indefinite
+constraints and the sign changes are quartic roots (`decide_sphere_curves`).
+Dimension >= 4, and a 3-D form with a numerically zero eigenvalue, go to a
+Lipschitz branch-and-bound over the unit sphere that answers Unknown at
+budget exhaustion instead of guessing.
 
-`s_procedure_certificate` proves a cone empty without any search and is
-tried by the oracle before the engine when n >= 3.
+`s_procedure_certificate` proves a cone empty without any search.  For
+n >= 3 the oracle tries it after its point pool and before the engine, so
+the order for n = 3 is pool, certificate, curves; n = 2 skips the
+certificate; only n >= 4 runs a witness ascent before the engine.
 """
 
 import math
@@ -17,10 +24,18 @@ from fractions import Fraction
 import numpy as np
 
 from .cones import ConeSystem, Sense
+from .kernels import _margins  # (p, c) signed margins in one einsum
 
 
 BNB_SLACK = 1e-12  # rounding slack of the branch-and-bound prune, per unit of lip
-CERTIFICATE_ITERATIONS = 1000  # mirror-descent steps before the certificate gives up
+CERTIFICATE_ITERATIONS = 100  # mirror-descent steps before the certificate gives up
+WITNESS_TOL = 1e-9  # smallest margin that makes a point a witness
+ACCEPT_SLACK = 1e-12  # a candidate this close to every constraint, per unit of norm, is a closure point
+SINGULAR_TOL = 1e-9  # |eigenvalue| / largest |eigenvalue| below which a form has no oval
+LEAD_FLOOR = 1e-14  # smallest leading quartic coefficient, relative, put in the companion matrix
+ACTIVE_MARGIN = 1e-6  # margin per unit of norm up to which a constraint is active at a start
+STEP_SIZES = 10.0 ** -np.arange(1, 10)  # steps inside from a closure point
+STEP_STARTS = 8  # closure points, best first, that a step inside starts from
 
 
 def _verdict_point(cone, x):
@@ -34,40 +49,154 @@ def decide_dim1(cone: ConeSystem):
     return "unsat", None
 
 
+def _first_in_cone(cone, pts, worst, floor):
+    """Among the points whose worst margin is at least `floor`, the one with
+    the largest worst margin that `cone.contains`; None if there is none."""
+    for i in np.argsort(-worst, kind="stable"):
+        if worst[i] < floor:
+            break
+        if _verdict_point(cone, pts[i]):
+            return pts[i]
+    return None
+
+
+def _planar_angles(mats):
+    """Every constraint's critical angles on the projective circle, sorted,
+    then the midpoints of the arcs between them; [0] when there are none.
+
+    On the unit circle x'Px is a + R cos(2t - p), so its roots are
+    (p +- acos(-a/R)) / 2 mod pi.
+    """
+    a = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
+    b = 0.5 * (mats[:, 0, 0] - mats[:, 1, 1])
+    g = mats[:, 0, 1]
+    R = np.hypot(b, g)
+    live = R > 1e-300  # else a constant margin, which evaluation handles
+    u = -a[live] / R[live]
+    cuts = np.abs(u) <= 1.0
+    phi = np.arctan2(g[live][cuts], b[live][cuts])
+    psi = np.arccos(u[cuts])
+    roots = np.unique(np.mod(np.concatenate([phi + psi, phi - psi]) / 2.0, np.pi))
+    if not len(roots):
+        return np.zeros(1)
+    ext = np.append(roots, roots[0] + np.pi)
+    return np.concatenate([roots, 0.5 * (ext[:-1] + ext[1:])])
+
+
 def decide_planar(cone: ConeSystem):
     """Exact decision for n = 2 via the critical angles of every constraint.
 
-    On the unit circle each quadratic form is a + R cos(2t - p); the feasible
-    set is a finite union of arcs whose endpoints lie among the constraint
-    roots, so evaluating at all roots and arc midpoints decides feasibility.
+    The feasible set on the circle is a finite union of arcs whose endpoints
+    lie among the constraint roots, so it is empty iff no root and no arc
+    midpoint is in the cone.  All candidates are evaluated in one einsum;
+    each whose worst margin is within rounding of zero is then checked by
+    `cone.contains`, best first, and the first to pass is the witness.
     """
-    roots = []
-    for c in cone.constraints:
-        P = c.P
-        a = 0.5 * (P[0, 0] + P[1, 1])
-        b = 0.5 * (P[0, 0] - P[1, 1])
-        g = P[0, 1]
-        R = math.hypot(b, g)
-        if R <= 1e-300:
-            continue  # constant margin; handled by evaluation
-        u = -a / R
-        if -1.0 <= u <= 1.0:
-            phi = math.atan2(g, b)
-            psi = math.acos(max(-1.0, min(1.0, u)))
-            for s in (phi + psi, phi - psi):
-                roots.append((s / 2.0) % math.pi)
-    roots = sorted(set(roots))
-    candidates = list(roots)
-    if roots:
-        ext = roots + [roots[0] + math.pi]
-        candidates.extend(0.5 * (ext[i] + ext[i + 1]) for i in range(len(roots)))
-    else:
-        candidates.append(0.0)
-    for t in candidates:
-        x = np.array([math.cos(t), math.sin(t)])
-        if _verdict_point(cone, x):
-            return "sat", x
-    return "unsat", None
+    mats, signs = cone.arrays()
+    t = _planar_angles(mats)
+    pts = np.column_stack([np.cos(t), np.sin(t)])
+    worst = _margins(pts, mats, signs).min(axis=1)
+    slack = ACCEPT_SLACK * np.linalg.norm(mats, axis=(1, 2)).max()
+    x = _first_in_cone(cone, pts, worst, -slack)
+    return ("unsat", None) if x is None else ("sat", x)
+
+
+def _ovals(lam, vec):
+    """The zero set of each indefinite 3x3 form on the sphere, up to sign and
+    scale, as z(t) = u0 + u1 cos t + u2 sin t: (c, 3, 3), columns u0, u1, u2.
+
+    In the eigenbasis, with lam_0 the eigenvalue whose sign no other shares,
+    z'Pz = lam_0 + lam_1 a^2 cos^2 t + lam_2 b^2 sin^2 t, which
+    a^2 = |lam_0 / lam_1| and b^2 = |lam_0 / lam_2| make vanish.
+    """
+    alone_first = np.where(lam[:, 1:2] > 0.0, [0, 1, 2], [2, 0, 1])
+    lam = np.take_along_axis(lam, alone_first, axis=1)
+    vec = np.take_along_axis(vec, alone_first[:, None, :], axis=2)
+    return vec * np.sqrt(np.abs(lam[:, :1] / lam))[:, None, :]
+
+
+def _curve_angles(U, G):
+    """(curves, angles): each curve's split angles, sorted, then its arc
+    midpoints.
+
+    Restricted to z(t), a form is A + B cos t + C sin t + D cos^2 t
+    + E sin t cos t + F sin^2 t; times (1 + s^2)^2 it is a quartic in
+    s = tan(t / 2).  The companion matrices of all of them go through one
+    `eigvals`, and the real part of every root is a split angle, as is
+    t = pi, where a root is lost when the degree drops.  A split angle
+    where no form changes sign (a complex root's real part, or a root of a
+    form that vanishes on the curve) only adds candidates.
+    """
+    W = np.einsum("kia,cij,kjb->kcab", U, G, U)
+    A, D, F = W[..., 0, 0], W[..., 1, 1], W[..., 2, 2]
+    B, C, E = 2.0 * W[..., 0, 1], 2.0 * W[..., 0, 2], 2.0 * W[..., 1, 2]
+    q = np.stack([A - B + D, 2.0 * (C - E), 2.0 * (A - D) + 4.0 * F, 2.0 * (C + E), A + B + D], -1)
+    q /= np.maximum(np.abs(q).max(axis=-1, keepdims=True), 1e-300)
+    lead = np.where(np.abs(q[..., :1]) < LEAD_FLOOR, LEAD_FLOOR, q[..., :1])
+    comp = np.zeros(q.shape[:2] + (4, 4))
+    comp[..., 0, :] = -q[..., 1:] / lead
+    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    theta = 2.0 * np.arctan(np.linalg.eigvals(comp).real).reshape(len(U), -1)
+    theta = np.sort(np.column_stack([theta, np.full(len(U), np.pi)]), axis=1)
+    ext = np.column_stack([theta, theta[:, 0] + 2.0 * np.pi])
+    return np.column_stack([theta, 0.5 * (ext[:, :-1] + ext[:, 1:])])
+
+
+def _step_inside(cone, starts, mats, signs):
+    """A point whose worst margin clears WITNESS_TOL near the closure points
+    `starts`, or None: from each start, steps of STEP_SIZES along the sum
+    of the unit tangent gradients of its active constraints, all evaluated
+    in one einsum."""
+    grad = signs[None, :, None] * np.einsum("cij,kj->kci", mats, starts)
+    grad -= np.einsum("kci,ki->kc", grad, starts)[..., None] * starts[:, None, :]
+    grad /= np.maximum(np.linalg.norm(grad, axis=2, keepdims=True), 1e-300)
+    active = _margins(starts, mats, signs) <= ACTIVE_MARGIN * np.linalg.norm(mats, axis=(1, 2))
+    toward = np.einsum("kc,kci->ki", active, grad)
+    pts = (starts[:, None, :] + STEP_SIZES[None, :, None] * toward[:, None, :]).reshape(-1, 3)
+    pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
+    return _first_in_cone(cone, pts, _margins(pts, mats, signs).min(axis=1), WITNESS_TOL)
+
+
+def decide_sphere_curves(cone: ConeSystem, max_regions=400_000):
+    """Decision for n = 3 on the zero curves of the constraints.
+
+    Let F be the closure of the cone on the unit sphere.  F is empty, or
+    the whole sphere, or it has a boundary point, which lies on the zero
+    curve of some constraint and meets every other one with >=.  For an
+    indefinite form that curve is one oval up to sign, and every other form
+    changes sign on it only at the roots of a quartic (`_curve_angles`), so
+    the roots and the arc midpoints of every curve, plus one point for the
+    case without boundary, contain a point of F whenever F is nonempty.  A
+    candidate counts as a point of F at a slack of ACCEPT_SLACK per unit of
+    form norm.  No such candidate: unsat.  Else sat with a witness clearing
+    WITNESS_TOL, from the candidates or a step inside (`_step_inside`), and
+    unknown when no such witness turns up.  A form with a numerically zero
+    eigenvalue has no oval; then the branch-and-bound decides.
+    """
+    mats, signs = cone.arrays()
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    G = mats / np.maximum(norms, 1e-300)[:, None, None]
+    lam, vec = np.linalg.eigh(G)
+    size = np.abs(lam)
+    if (size.min(axis=1) <= SINGULAR_TOL * size.max(axis=1)).any():  # zero forms too
+        return decide_sphere_bnb(cone, max_regions=max_regions)
+    indefinite = (lam[:, 0] < 0.0) & (lam[:, -1] > 0.0)
+    pts = np.eye(3)[:1]  # decides F without boundary: the whole sphere or empty
+    if indefinite.any():
+        U = _ovals(lam[indefinite], vec[indefinite])
+        t = _curve_angles(U, G)
+        basis = np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=-1)
+        pts = np.vstack([np.einsum("kia,kpa->kpi", U, basis).reshape(-1, 3), pts])
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    scaled = _margins(pts, G, signs)
+    worst = scaled.min(axis=1)
+    if not (worst >= -ACCEPT_SLACK).any():
+        return "unsat", None
+    x = _first_in_cone(cone, pts, (scaled * norms).min(axis=1), WITNESS_TOL)
+    if x is None:
+        best = np.argsort(-worst, kind="stable")[:STEP_STARTS]
+        x = _step_inside(cone, pts[best[worst[best] >= -ACCEPT_SLACK]], mats, signs)
+    return ("unknown", None) if x is None else ("sat", x)
 
 
 def exactly_negative_definite(weights, cone: ConeSystem) -> bool:
@@ -219,4 +348,6 @@ class BuiltinDecider:
             return decide_dim1(cone)
         if cone.n == 2:
             return decide_planar(cone)
+        if cone.n == 3:
+            return decide_sphere_curves(cone, max_regions=self.max_regions)
         return decide_sphere_bnb(cone, max_regions=self.max_regions)

@@ -245,9 +245,17 @@ def compute_saist(config: SaistConfig) -> SaistReport:
         l = 1 if prev is None else prev.depth + 1
         return build_l_complete(disc, oracle, l, prev=prev) if l <= config.l_max else None
 
+    verified = {}  # verify_cycle is deterministic in (disc, word, seed)
+
+    def verify(word):
+        word = tuple(word)
+        if word not in verified:
+            verified[word] = verify_cycle(disc, word, seed=config.seed)
+        return verified[word]
+
     return _refinement_loop(
         next_abstraction,
-        lambda word: verify_cycle(disc, word, seed=config.seed),
+        verify,
         config.l_max,
         config.system.h,
         oracle.stats,

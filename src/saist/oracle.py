@@ -8,12 +8,11 @@ import numpy as np
 
 from . import kernels
 from .cones import ConeSystem, checked_word, cone_step, stack
-from .decider import BuiltinDecider, s_procedure_certificate
+from .decider import WITNESS_TOL, BuiltinDecider, s_procedure_certificate
 from .petc import DiscretizedSystem
 
 GOLDEN = 0.6180339887498949
 BUDGET = 10_000  # witness-ascent steps per query, shared by its starts
-WITNESS_TOL = 1e-9  # smallest margin that makes a point a witness
 
 
 class Status(enum.Enum):
@@ -76,12 +75,12 @@ class ConeOracle:
     """Decides sigma-cone nonemptiness for one discretized PETC system.
 
     A cone has one path to its verdict: the point pool, then for n >= 3 an
-    emptiness certificate and a witness ascent, then the exact engine.  The
-    first verdict for a word, Unknown included, is cached and returned from
-    then on.  `feasible_word` extends the cone of the word's parent by one
-    letter, with the pool's margins on the new forms only; the parents it
-    keeps are the words passed to the last `retain`, plus the feasible
-    words decided since.  `engine` is anything with
+    emptiness certificate, then for n >= 4 a witness ascent, then the
+    engine.  The first verdict for a word, Unknown included, is cached and
+    returned from then on.  `feasible_word` extends the cone of the word's
+    parent by one letter, with the pool's margins on the new forms only;
+    the parents it keeps are the words passed to the last `retain`, plus
+    the feasible words decided since.  `engine` is anything with
     ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``, typically a
     :class:`saist.smtlib.SolverClient` or :class:`saist.decider.BuiltinDecider`.
     """
@@ -147,8 +146,8 @@ class ConeOracle:
 
     def feasible(self, cone: ConeSystem) -> FeasibilityVerdict:
         """The cached verdict, if any.  Else the pool; then, for n >= 3, an
-        S-procedure emptiness certificate and a witness ascent; then the
-        engine, which is exact for n <= 2."""
+        S-procedure emptiness certificate; then, for n >= 4, a witness
+        ascent; then the engine, which decides n <= 3 on curves."""
         key = (tuple(cone.word), cone.variant)
         self.stats["queries"] += 1
         cached = self._verdicts.get(key)
@@ -159,12 +158,10 @@ class ConeOracle:
         best = int(np.argmax(worst))
         if worst[best] > WITNESS_TOL:
             return self._sampled(key, pts[best] / np.linalg.norm(pts[best]))
-        if cone.n >= 3:
-            if s_procedure_certificate(cone) is not None:
-                self.stats["certified"] += 1
-                return self._store(
-                    key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
-                )
+        if cone.n >= 3 and s_procedure_certificate(cone) is not None:
+            self.stats["certified"] += 1
+            return self._store(key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE))
+        if cone.n >= 4:
             x = self._ascend(*pool)
             if x is not None:
                 return self._sampled(key, x)
@@ -197,6 +194,11 @@ class ConeOracle:
             signs = np.concatenate([signs, new_signs])
             worst = np.minimum(worst, _worst(self.pool, new_mats, new_signs))
         return _Cone(ConeSystem(word=word, constraints=constraints), phi, mats, signs, worst)
+
+    def known_infeasible(self, word):
+        """Whether the word's cone is already decided empty."""
+        v = self._verdicts.get((tuple(word), ""))
+        return v is not None and not v.maybe_feasible
 
     def retain(self, words):
         """Forget the cones of every word not in `words`."""

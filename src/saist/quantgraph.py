@@ -152,22 +152,19 @@ def _karp_component(comp, edges, weights):
         row = np.full(nv, _INF, dtype=np.int64)
         np.minimum.at(row, dst, cand)
         d[k] = row
-    best = None
-    for v in range(nv):
-        dn = int(d[nv, v])
-        if dn >= _INF:
-            continue
-        worst = None
-        for k in range(nv):
-            dk = int(d[k, v])
-            if dk >= _INF:
-                continue
-            cand = Fraction(dn - dk, nv - k)
-            if worst is None or cand > worst:
-                worst = cand
-        if worst is not None and (best is None or worst < best):
-            best = worst
-    return best
+    # max over k of (d[nv, v] - d[k, v]) / (nv - k) per v, then min over v,
+    # compared exactly by cross-multiplying numerators and denominators
+    dtype = np.int64 if 2 * nv * nv * int(np.abs(w).max()) < 2**62 else object
+    dn = d[nv].astype(dtype)
+    num = np.zeros(nv, dtype=dtype)
+    den = np.zeros(nv, dtype=np.int64)  # 0: no finite d[k, v] yet
+    for k in range(nv):
+        ok = (d[nv] < _INF) & (d[k] < _INF)
+        cand = dn - d[k].astype(dtype)
+        better = ok & ((den == 0) | (cand * den > num * (nv - k)))
+        num[better] = cand[better]
+        den[better] = nv - k
+    return min((Fraction(int(num[v]), int(den[v])) for v in np.nonzero(den)[0]), default=None)
 
 
 def _tight_subgraph(graph, weights_int, mu_int):

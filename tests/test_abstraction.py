@@ -32,6 +32,9 @@ class MockOracle:
 
         return V()
 
+    def known_infeasible(self, word):
+        return False
+
     def retain(self, states):
         pass
 
@@ -127,6 +130,9 @@ def test_targeted_refinement_sequence():
 
             return V()
 
+        def known_infeasible(self, word):
+            return False
+
         def retain(self, states):
             pass
 
@@ -146,6 +152,40 @@ def test_targeted_refinement_sequence():
     assert o.queries == [(1,), (2,), (1, 1), (1, 2), (1, 1, 1), (1, 1, 2)]
 
 
+def test_refine_skips_extensions_with_a_known_empty_suffix():
+    class SuffixKnownEmpty:
+        kbar = 3
+        alphabet = (1, 2, 3)
+
+        def __init__(self):
+            self.queries = []
+
+        def feasible_word(self, word):
+            self.queries.append(tuple(word))
+
+            class V:
+                maybe_feasible = True
+
+            return V()
+
+        def known_infeasible(self, word):
+            return tuple(word) == (2,)
+
+        def retain(self, states):
+            pass
+
+    o = SuffixKnownEmpty()
+
+    class D:
+        pass
+
+    abs1 = build_l_complete(D(), o, 1)
+    o.queries.clear()
+    abs2 = refine_sac(abs1, [(1,)], o)
+    assert o.queries == [(1, 1), (1, 3)]  # (1, 2) skipped: (2,) is known empty
+    assert abs2.states == ((1, 1), (1, 3), (2,), (3,))
+
+
 def test_refine_empty_extension_raises():
     class NoneFeasible:
         kbar = 2
@@ -156,6 +196,9 @@ def test_refine_empty_extension_raises():
                 maybe_feasible = len(word) == 1
 
             return V()
+
+        def known_infeasible(self, word):
+            return False
 
         def retain(self, states):
             pass

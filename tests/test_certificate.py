@@ -36,21 +36,38 @@ def unit_points(rng, n, count):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-@SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), m=st.integers(1, 12))
-def test_cone_containing_a_point_gets_no_certificate(seed, n, m):
-    rng = np.random.default_rng(seed)
+def cone_containing_a_point(rng, n, m):
+    """(cone, x): random forms with senses chosen so that x satisfies every
+    constraint in exact arithmetic; NON_POSITIVE ones are made tight at x
+    half of the time."""
     x = rng.standard_normal(n)
     forms = random_forms(rng, m, n)
-    # senses chosen so that x satisfies every constraint in exact arithmetic;
-    # NON_POSITIVE ones are made tight at x half of the time
     senses = []
     for i in range(m):
         if rng.random() < 0.5:
             forms[i] -= (x @ forms[i] @ x) / (x @ x) * np.eye(n)
         v = exact_value(x, forms[i])
         senses.append(Sense.STRICT_POSITIVE if v > 0 else Sense.NON_POSITIVE)
-    c = cone(forms, senses)
+    return cone(forms, senses), x
+
+
+def cone_with_a_certificate(rng, n, m, scale):
+    """A cone with a known certificate: the last form closes a weighted sum
+    of random forms to -(B B' + scale I)."""
+    forms = random_forms(rng, m, n)
+    senses = [Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE for _ in range(m)]
+    w = rng.uniform(0.1, 1.0, m)
+    B = rng.standard_normal((n, n))
+    target = -(B @ B.T + scale * np.eye(n))
+    partial = sum(w[i] * s.sign * forms[i] for i, s in enumerate(senses[:-1]))
+    forms[-1] = senses[-1].sign * (target - partial) / w[-1]
+    return cone(forms, senses)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), m=st.integers(1, 12))
+def test_cone_containing_a_point_gets_no_certificate(seed, n, m):
+    c, x = cone_containing_a_point(np.random.default_rng(seed), n, m)
     assert all(exact_value(x, q.P) > 0 if q.sense is Sense.STRICT_POSITIVE
                else exact_value(x, q.P) <= 0 for q in c.constraints)
     assert s_procedure_certificate(c) is None
@@ -64,17 +81,8 @@ def test_cone_containing_a_point_gets_no_certificate(seed, n, m):
     scale=st.floats(0.05, 5.0),
 )
 def test_certified_cone_has_no_points(seed, n, m, scale):
-    # a cone with a known certificate: the last form closes a weighted sum
-    # of random forms to -(B B' + scale I)
     rng = np.random.default_rng(seed)
-    forms = random_forms(rng, m, n)
-    senses = [Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE for _ in range(m)]
-    w = rng.uniform(0.1, 1.0, m)
-    B = rng.standard_normal((n, n))
-    target = -(B @ B.T + scale * np.eye(n))
-    partial = sum(w[i] * s.sign * forms[i] for i, s in enumerate(senses[:-1]))
-    forms[-1] = senses[-1].sign * (target - partial) / w[-1]
-    c = cone(forms, senses)
+    c = cone_with_a_certificate(rng, n, m, scale)
     tau = s_procedure_certificate(c)
     assume(tau is not None)
     assert np.all(tau >= 0) and tau.sum() > 0

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from saist import (
     parse_config,
     simulate,
 )
+from saist import driver
 from saist.cli import main as cli_main
 from saist.errors import ConfigError
 
@@ -85,6 +87,21 @@ def test_bounds_only_on_tiny_budget():
     assert rep.saist_upper is None or rep.saist_lower <= rep.saist_upper
 
 
+def test_repeated_word_is_verified_once(monkeypatch):
+    calls = Counter()
+    verify_cycle = driver.verify_cycle
+
+    def counting(disc, word, **kwargs):
+        calls[tuple(word)] += 1
+        return verify_cycle(disc, word, **kwargs)
+
+    monkeypatch.setattr(driver, "verify_cycle", counting)
+    rep = compute_saist(parse_config(config_json(0.1), l_max=6, seed=0))
+    sacs = [tuple(it["sac"]) for it in rep.iterations]
+    assert len(sacs) == 6 and len(set(sacs)) < len(sacs)  # the same word at several depths
+    assert set(sacs) <= set(calls) and set(calls.values()) == {1}
+
+
 def test_report_json_shape_and_determinism():
     cfg = parse_config(config_json(0.5), l_max=12, seed=0)
     a = compute_saist(cfg).to_json(include_timing=False)
@@ -129,11 +146,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 0
     assert "Verified" in out
     rc = cli_main(["analyze", str(path), "--l-max", "2"])
-    assert rc == 2
+    assert rc == 3  # BoundsOnly
     rc = cli_main(["analyze", str(tmp_path / "missing.json")])
     assert rc == 1
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as usage:
         cli_main(["analyze", str(path), "--oracle", "hybrid"])
+    assert usage.value.code == 2  # argparse usage error
 
 
 def test_cli_report_and_dot(tmp_path):
