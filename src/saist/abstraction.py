@@ -52,7 +52,8 @@ def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
 
     Level j+1 candidates are w + (k,) where both w and w[1:] + (k,) passed
     level j; prefix monotonicity makes this exhaustive and it keeps the
-    query count near the final edge count.  Given `prev`, the l'-complete
+    query count near the final edge count.  Each level goes to the oracle
+    as one batch.  Given `prev`, the l'-complete
     abstraction of the same oracle for some l' <= l, the levels up to l'
     are taken from it instead of being looked up again.
     """
@@ -60,7 +61,7 @@ def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
         raise ValueError("depth must be >= 1")
     alphabet = list(oracle.alphabet)
     if prev is None:
-        level = [(k,) for k in alphabet if oracle.feasible_word((k,)).maybe_feasible]
+        level = _feasible(oracle, [(k,) for k in alphabet])
         depth = 1
     elif prev.depth > l or any(len(w) != prev.depth for w in prev.states):
         raise ValueError(f"prev must be l'-complete for some l' <= {l}")
@@ -69,12 +70,17 @@ def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
     for _ in range(depth, l):
         prev_level = set(level)
         cands = [w + (k,) for w in level for k in alphabet if w[1:] + (k,) in prev_level]
-        level = [w for w in cands if oracle.feasible_word(w).maybe_feasible]
+        level = _feasible(oracle, cands)
     states = tuple(sorted(level))
     oracle.retain(states)
     return TrafficAbstraction(
         states=states, transitions=domino_transitions(states), depth=l
     )
+
+
+def _feasible(oracle, words) -> list:
+    """The words the oracle may not drop, decided as one batch."""
+    return [w for w, v in zip(words, oracle.feasible_words(words)) if v.maybe_feasible]
 
 
 def domino_transitions(states) -> tuple:
@@ -92,19 +98,27 @@ def domino_transitions(states) -> tuple:
     return tuple(sorted(out))
 
 
-def _prefix_compatible(v, w):
-    s = v[1:]
-    m = min(len(s), len(w))
-    return s[:m] == w[:m]
-
-
 def mixed_transitions(states) -> tuple:
     """Prefix-compatible domino for mixed-length states: edge (v, w) iff the
-    1-step suffix of v and the word w agree on their common prefix."""
+    1-step suffix of v and the word w agree on their common prefix.
+
+    That is, w is a prefix of v[1:] or v[1:] is a prefix of w, so each v
+    looks up the states among the prefixes of v[1:] and the states that
+    extend v[1:], instead of meeting every w.
+    """
     states = tuple(states)
-    return tuple(
-        sorted((v, w) for v in states for w in states if _prefix_compatible(v, w))
-    )
+    same, extending = {}, {}
+    for w in states:
+        same.setdefault(w, []).append(w)
+        for j in range(len(w) + 1):
+            extending.setdefault(w[:j], []).append(w)
+    out = []
+    for v in states:
+        s = v[1:]
+        for j in range(len(s)):
+            out.extend((v, w) for w in same.get(s[:j], ()))
+        out.extend((v, w) for w in extending.get(s, ()))
+    return tuple(sorted(out))
 
 
 def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstraction:
@@ -121,12 +135,9 @@ def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstracti
         if w not in sac:
             new_states.append(w)
             continue
-        kept = [
-            w + (k,)
-            for k in alphabet
-            if not oracle.known_infeasible(w[1:] + (k,))
-            and oracle.feasible_word(w + (k,)).maybe_feasible
-        ]
+        kept = _feasible(
+            oracle, [w + (k,) for k in alphabet if not oracle.known_infeasible(w[1:] + (k,))]
+        )
         if not kept:
             raise EmptyRefinement(
                 f"word {w} has no feasible extension; oracle verdicts are inconsistent"

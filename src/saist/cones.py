@@ -93,6 +93,36 @@ def stack(constraints):
     return mats, signs
 
 
+def letter_forms(disc: DiscretizedSystem, phis, letters):
+    """`cone_step` for a batch of words, as arrays: phis (B, n, n) are the
+    words' cumulative matrices and letters (B,) the letters appended.
+
+    Returns (phis advanced by M(k), forms (F, n, n), signs (F,), counts
+    (B,)): word b's forms are the next counts[b] rows, in `cone_step`'s
+    order.  One stacked matmul builds every form, so each one is bitwise
+    the form a batch of one would give.
+    """
+    ks = np.asarray(letters, dtype=np.intp)
+    counts = np.where(ks < disc.kbar, ks, ks - 1)
+    owner = np.repeat(np.arange(len(ks)), counts)
+    m = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    phi = phis[owner]
+    P = phi.transpose(0, 2, 1) @ disc.N[m - 1] @ phi
+    P = 0.5 * (P + P.transpose(0, 2, 1))
+    signs = np.where(m < ks[owner], Sense.NON_POSITIVE.sign, Sense.STRICT_POSITIVE.sign)
+    return disc.M[ks - 1] @ phis, P, signs, counts
+
+
+_SENSE_OF_SIGN = {s.sign: s for s in Sense}
+
+
+def constraints_of(forms, signs) -> tuple:
+    """QuadConstraints of exactly symmetric (forms, signs) stacks."""
+    return tuple(
+        QuadConstraint.symmetric(P, _SENSE_OF_SIGN[s]) for P, s in zip(forms, signs.tolist())
+    )
+
+
 def cone_step(disc: DiscretizedSystem, phi, constraints, k):
     """Append letter k to a word whose cone is (phi, constraints).
 
@@ -101,22 +131,16 @@ def cone_step(disc: DiscretizedSystem, phi, constraints, k):
     back by phi; phi then advances to M(k) @ phi.  Returns the child's
     (phi, constraints), the parent's constraints as a prefix.
     """
-    forms = [(m, Sense.NON_POSITIVE) for m in range(1, k)]
-    if k < disc.kbar:
-        forms.append((k, Sense.STRICT_POSITIVE))
-    new = []
-    for m, sense in forms:
-        P = phi.T @ disc.N[m - 1] @ phi
-        new.append(QuadConstraint.symmetric(0.5 * (P + P.T), sense))
-    return disc.M[k - 1] @ phi, constraints + tuple(new)
+    phis, forms, signs, _ = letter_forms(disc, phi[None], [k])
+    return phis[0], constraints + constraints_of(forms, signs)
 
 
 def checked_word(disc: DiscretizedSystem, word) -> tuple:
     """The word as a tuple of ints; ConfigError unless nonempty over 1..kbar."""
-    word = tuple(int(k) for k in word)
+    word = tuple(map(int, word))
     if not word:
         raise ConfigError("word must be nonempty")
-    if any(k < 1 or k > disc.kbar for k in word):
+    if min(word) < 1 or max(word) > disc.kbar:
         raise ConfigError(f"letters must lie in 1..{disc.kbar}")
     return word
 

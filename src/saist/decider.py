@@ -19,7 +19,6 @@ certificate; only n >= 4 runs a witness ascent before the engine.
 
 import math
 from collections import deque
-from fractions import Fraction
 
 import numpy as np
 
@@ -199,33 +198,44 @@ def decide_sphere_curves(cone: ConeSystem, max_regions=400_000):
     return ("unknown", None) if x is None else ("sat", x)
 
 
+def _dyadic(x):
+    """(m, e) with the float x exactly m * 2**e, m an int."""
+    m, d = float(x).as_integer_ratio()  # d is a power of two
+    return m, 1 - d.bit_length()
+
+
 def exactly_negative_definite(weights, cone: ConeSystem) -> bool:
     """Whether sum_i weights_i s_i P_i is negative definite, decided exactly.
 
-    Every float weight and matrix entry is read as the binary rational it
-    stores, and -sum is tested for positive pivots by Gaussian elimination
-    without pivoting (its LDL' factorisation) in `fractions`, so rounding
-    cannot make a singular or indefinite sum pass.
+    Every float weight and matrix entry is a dyadic rational m * 2**e, so
+    -sum scaled by one power of two is a matrix of ints.  Fraction-free
+    (Bareiss) elimination without pivoting turns its leading principal
+    minors into the pivots, and the sum is negative definite iff all are
+    positive; rounding cannot make a singular or indefinite sum pass.
     """
     n = cone.n
-    S = [[Fraction(0)] * n for _ in range(n)]
+    terms = {(i, j): [] for i in range(n) for j in range(i, n)}
     for w, c in zip(weights, cone.constraints):
         if w == 0.0:
             continue
-        f = Fraction(float(w)) * int(c.sense.sign)
-        for i in range(n):
-            for j in range(i, n):
-                S[i][j] -= f * Fraction(float(c.P[i, j]))
-    for i in range(n):
-        for j in range(i):
-            S[i][j] = S[j][i]
+        mw, ew = _dyadic(-float(w) * c.sense.sign)
+        P = c.P.tolist()
+        for (i, j), entry in terms.items():
+            m, e = _dyadic(P[i][j])
+            entry.append((mw * m, ew + e))
+    low = min((e for entry in terms.values() for _, e in entry), default=0)
+    S = [[0] * n for _ in range(n)]
+    for (i, j), entry in terms.items():
+        S[i][j] = S[j][i] = sum(m << (e - low) for m, e in entry)
+    prev = 1
     for k in range(n):
-        if S[k][k] <= 0:
+        pivot = S[k][k]  # the (k+1)-th leading principal minor
+        if pivot <= 0:
             return False
         for i in range(k + 1, n):
-            f = S[i][k] / S[k][k]
             for j in range(k + 1, n):
-                S[i][j] -= f * S[k][j]
+                S[i][j] = (S[i][j] * pivot - S[i][k] * S[k][j]) // prev
+        prev = pivot
     return True
 
 

@@ -1,18 +1,20 @@
 """Feasibility oracle for sigma-cones: seeded sampling first, exact decisions second."""
 
 import enum
+from itertools import islice
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .cones import ConeSystem, checked_word, cone_step, stack
+from .cones import ConeSystem, checked_word, constraints_of, letter_forms
 from .decider import WITNESS_TOL, BuiltinDecider, s_procedure_certificate
 from .petc import DiscretizedSystem
 
 GOLDEN = 0.6180339887498949
 BUDGET = 10_000  # witness-ascent steps per query, shared by its starts
+CHUNK_FORMS = 64  # new forms per batched extension: caps the (pool, forms) margins
 
 
 class Status(enum.Enum):
@@ -45,13 +47,17 @@ class FeasibilityVerdict:
 
 class _Cone(NamedTuple):
     """A word's cone with what its children extend: the cumulative matrix,
-    the (mats, signs) stacks and the pool's worst margin per point."""
+    the (mats, signs) stacks and the pool's worst margin per point; then the
+    parent word's witnesses and their worst margins, as scored when the
+    cone was built (None if there were none)."""
 
     cone: ConeSystem
     phi: np.ndarray
     mats: np.ndarray
     signs: np.ndarray
     worst: np.ndarray
+    starts: Optional[np.ndarray] = None
+    start_worst: Optional[np.ndarray] = None
 
 
 def _worst(pts, mats, signs):
@@ -77,10 +83,15 @@ class ConeOracle:
     A cone has one path to its verdict: the point pool, then for n >= 3 an
     emptiness certificate, then for n >= 4 a witness ascent, then the
     engine.  The first verdict for a word, Unknown included, is cached and
-    returned from then on.  `feasible_word` extends the cone of the word's
-    parent by one letter, with the pool's margins on the new forms only;
-    the parents it keeps are the words passed to the last `retain`, plus
-    the feasible words decided since.  `engine` is anything with
+    returned from then on.  `feasible_words` decides a batch of words, such
+    as one level of an abstraction, in order: it first builds the cones of
+    the uncached ones a chunk at a time, each word's cone its parent's plus
+    one letter's forms, in one batched step per level with the pool
+    evaluated on the new forms only and the parents' witnesses scored in
+    one gathered evaluation; then each word goes through `feasible_word`,
+    which builds a lone word's cone as a batch of one.  The parents kept
+    are the words passed to the last `retain`, plus the feasible words
+    decided since.  `engine` is anything with
     ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``, typically a
     :class:`saist.smtlib.SolverClient` or :class:`saist.decider.BuiltinDecider`.
     """
@@ -115,14 +126,18 @@ class ConeOracle:
         if memo is not None and memo.cone is cone:
             mats, signs, worst = memo.mats, memo.signs, memo.worst
         else:
+            memo = None
             mats, signs = cone.arrays()
             worst = _worst(self.pool, mats, signs)
-        starts = [np.asarray(w)[None, :] for w in self.witnesses(cone.word[:-1])]
-        if not starts:
+        ws = self.witnesses(cone.word[:-1])
+        if not ws:
             return self.pool, worst, mats, signs
-        starts = np.vstack(starts)
-        worst = np.concatenate([worst, _worst(starts, mats, signs)])
-        return np.vstack([self.pool, starts]), worst, mats, signs
+        if memo is not None and memo.starts is not None and len(memo.starts) == len(ws):
+            starts, start_worst = memo.starts, memo.start_worst
+        else:  # a cone built elsewhere, or witnesses recorded since it was built
+            starts = np.vstack(ws)
+            start_worst = _worst(starts, mats, signs)
+        return np.vstack([self.pool, starts]), np.concatenate([worst, start_worst]), mats, signs
 
     def _ascend(self, pts, worst, mats, signs):
         """Locally improve the most promising points; a witness or None."""
@@ -176,24 +191,72 @@ class ConeOracle:
             v = FeasibilityVerdict(Status.UNKNOWN, None, Method.EXTERNAL)
         return self._store(key, v)
 
-    def _extend(self, word):
-        """The word's cone, from its parent's: one letter's forms are added
-        and only they are evaluated on the pool."""
-        if not word:
-            return self._root
-        memo = self._memo.get(word)
-        if memo is not None:
-            return memo
-        parent = self._extend(word[:-1])
-        phi, constraints = cone_step(self.disc, parent.phi, parent.cone.constraints, word[-1])
-        new = constraints[len(parent.cone.constraints):]
-        mats, signs, worst = parent.mats, parent.signs, parent.worst
-        if new:
-            new_mats, new_signs = stack(new)
-            mats = np.concatenate([mats, new_mats])
-            signs = np.concatenate([signs, new_signs])
-            worst = np.minimum(worst, _worst(self.pool, new_mats, new_signs))
-        return _Cone(ConeSystem(word=word, constraints=constraints), phi, mats, signs, worst)
+    def _extend_words(self, words):
+        """The cones of `words`, built and kept unless already kept.
+
+        Each cone is its parent's plus one letter's forms.  The words and
+        whatever ancestors they miss are built a level at a time, one
+        batched `letter_forms` step per level, with the pool evaluated on
+        the level's new forms in one einsum; the ancestors are not kept.
+        The parents' witnesses are then scored against each word's full
+        form stack in one gathered evaluation.
+        """
+        words = [checked_word(self.disc, w) for w in words]
+        built = {}
+        for w in words:
+            while w and w not in built and w not in self._memo:
+                built[w] = None
+                w = w[:-1]
+        for depth in sorted({len(w) for w in built}):
+            self._step([w for w in built if len(w) == depth], built)
+        self._memo.update((w, built[w]) for w in words if w in built)
+        self._score_starts([w for w in dict.fromkeys(words) if w in built])
+        return [self._memo[w] for w in words]
+
+    def _step(self, level, built):
+        """Build the cones of `level`, words of one length, into `built`."""
+        parents = [built.get(w[:-1]) or self._memo.get(w[:-1]) or self._root for w in level]
+        phis, forms, signs, counts = letter_forms(
+            self.disc, np.array([p.phi for p in parents]), [w[-1] for w in level]
+        )
+        if len(forms):  # only kbar = 1 adds none
+            # (forms, pool): each word's new forms are a block of rows
+            margins = np.ascontiguousarray(kernels.margins(self.pool, forms, signs).T)
+        ends = np.cumsum(counts).tolist()
+        for w, parent, phi, hi, count in zip(level, parents, phis, ends, counts.tolist()):
+            lo = hi - count
+            constraints = parent.cone.constraints + constraints_of(forms[lo:hi], signs[lo:hi])
+            built[w] = _Cone(
+                ConeSystem(word=w, constraints=constraints),
+                phi,
+                np.concatenate([parent.mats, forms[lo:hi]]),
+                np.concatenate([parent.signs, signs[lo:hi]]),
+                np.minimum(parent.worst, margins[lo:hi].min(axis=0)) if count else parent.worst,
+            )
+
+    def _score_starts(self, words):
+        """Score each kept word's parent witnesses against the word's full
+        form stack, all pairs in one gathered evaluation."""
+        pairs = [(w, np.vstack(ws)) for w in words if (ws := self.witnesses(w[:-1]))]
+        if not pairs:
+            return
+        stacks = [self._memo[w] for w, starts in pairs for _ in starts]
+        sizes = np.array([len(c.signs) for c in stacks])
+        worst = np.full(len(stacks), np.inf)  # a word without forms: no margin
+        if sizes.any():
+            q = kernels.paired_margins(
+                np.repeat(np.concatenate([starts for _, starts in pairs]), sizes, axis=0),
+                np.concatenate([c.mats for c in stacks]),
+                np.concatenate([c.signs for c in stacks]),
+            )
+            nonzero = sizes > 0
+            worst[nonzero] = np.minimum.reduceat(q, (np.cumsum(sizes) - sizes)[nonzero])
+        at = 0
+        for w, starts in pairs:
+            self._memo[w] = self._memo[w]._replace(
+                starts=starts, start_worst=worst[at : at + len(starts)]
+            )
+            at += len(starts)
 
     def known_infeasible(self, word):
         """Whether the word's cone is already decided empty."""
@@ -206,13 +269,37 @@ class ConeOracle:
         self._memo = {w: m for w, m in self._memo.items() if w in words}
 
     def feasible_word(self, word) -> FeasibilityVerdict:
+        """The word's verdict; an unbuilt cone is built as a batch of one."""
         word = tuple(word)
         cached = self._verdicts.get((word, ""))
         if cached is not None:
             return cached
-        word = checked_word(self.disc, word)
-        memo = self._memo[word] = self._extend(word)
+        memo = self._memo.get(word) or self._extend_words([word])[0]
         v = self.feasible(memo.cone)
         if not v.maybe_feasible:
-            del self._memo[word]
+            del self._memo[memo.cone.word]
         return v
+
+    def feasible_words(self, words) -> list:
+        """`feasible_word` of each word, in order, with the cones of the
+        uncached words built a chunk at a time beforehand: each chunk adds
+        at most CHUNK_FORMS forms, save that it always takes one word."""
+        words = [tuple(w) for w in words]
+        out = []
+        for i, w in enumerate(words):
+            if (w, "") not in self._verdicts and w not in self._memo:
+                self._extend_words(self._chunk(islice(words, i, None)))
+            out.append(self.feasible_word(w))
+        return out
+
+    def _chunk(self, words):
+        """The leading words to build: uncached, not kept, CHUNK_FORMS forms."""
+        chunk, forms = {}, 0
+        for w in words:
+            if w in chunk or (w, "") in self._verdicts or w in self._memo:
+                continue
+            forms += int(w[-1]) if w else 0  # k forms at most
+            if chunk and forms > CHUNK_FORMS:
+                break
+            chunk[w] = None
+        return list(chunk)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saist import build_l_complete, discretize, domino_transitions, refine_sac, trace
 from saist.abstraction import mixed_transitions
@@ -9,7 +11,14 @@ from saist.oracle import ConeOracle
 from test_petc import system_2d
 
 
-class MockOracle:
+class WordByWord:
+    """`feasible_words` as the mock oracles' `feasible_word` over each word."""
+
+    def feasible_words(self, words):
+        return [self.feasible_word(w) for w in words]
+
+
+class MockOracle(WordByWord):
     """Word-set-backed oracle: feasible iff the word is a factor of the
     given periodic streams."""
 
@@ -110,11 +119,31 @@ def test_mixed_transitions_prefix_rule():
     assert ((1, 1, 2), (2,)) not in got
 
 
+def pairwise_mixed_transitions(states):
+    """The prefix rule applied to every ordered pair of states."""
+
+    def compatible(v, w):
+        s = v[1:]
+        m = min(len(s), len(w))
+        return s[:m] == w[:m]
+
+    return tuple(sorted((v, w) for v in states for w in states if compatible(v, w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple), max_size=30)
+)
+def test_mixed_transitions_match_the_pairwise_rule(states):
+    states = tuple(sorted(states))
+    assert mixed_transitions(states) == pairwise_mixed_transitions(states)
+
+
 def test_targeted_refinement_sequence():
     """Starting from depth 1 and refining the minimum cycle twice reproduces
     the known mixed-length state set in 6 oracle queries."""
 
-    class TwoLetterOracle:
+    class TwoLetterOracle(WordByWord):
         # concrete feasibility pattern: (1,1,1) impossible, everything else
         # built from the streams below is possible
         def __init__(self):
@@ -153,7 +182,7 @@ def test_targeted_refinement_sequence():
 
 
 def test_refine_skips_extensions_with_a_known_empty_suffix():
-    class SuffixKnownEmpty:
+    class SuffixKnownEmpty(WordByWord):
         kbar = 3
         alphabet = (1, 2, 3)
 
@@ -187,7 +216,7 @@ def test_refine_skips_extensions_with_a_known_empty_suffix():
 
 
 def test_refine_empty_extension_raises():
-    class NoneFeasible:
+    class NoneFeasible(WordByWord):
         kbar = 2
         alphabet = (1, 2)
 

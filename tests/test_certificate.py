@@ -122,3 +122,69 @@ def test_exact_check_rejects_a_sum_that_rounds_negative():
     assert not exactly_negative_definite(tau, c)
     # with a smaller weight on the positive term the exact sum is negative
     assert exactly_negative_definite(np.array([1.0 / 3.0, 0.5, 0.5, 1.0]), c)
+
+
+def fraction_negative_definite(weights, c):
+    """The reference check: -sum in `fractions`, positive pivots of its
+    Gaussian elimination without pivoting."""
+    n = c.n
+    S = [[Fraction(0)] * n for _ in range(n)]
+    for w, q in zip(weights, c.constraints):
+        if w == 0.0:
+            continue
+        f = Fraction(float(w)) * int(q.sense.sign)
+        for i in range(n):
+            for j in range(i, n):
+                S[i][j] -= f * Fraction(float(q.P[i, j]))
+    for i in range(n):
+        for j in range(i):
+            S[i][j] = S[j][i]
+    for k in range(n):
+        if S[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = S[i][k] / S[k][k]
+            for j in range(k + 1, n):
+                S[i][j] -= f * S[k][j]
+    return True
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    m=st.integers(1, 6),
+    kind=st.sampled_from(["random", "certified", "singular", "near_singular", "sparse"]),
+)
+def test_integer_check_agrees_with_fractions(seed, n, m, kind):
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8)
+    senses = [Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE for _ in range(m)]
+    forms = random_forms(rng, m, n) * 10.0 ** rng.integers(-8, 9, (m, 1, 1))
+    if kind == "certified" and n > 1:
+        c = cone_with_a_certificate(rng, n, m + 1, float(rng.uniform(1e-9, 2.0)))
+        tau = np.append(rng.uniform(0.1, 1.0, m), 1.0)
+    else:
+        if kind in ("singular", "near_singular"):
+            # the last form closes the weighted sum to -(B B') with B of rank < n,
+            # nudged by one ulp-sized multiple of the identity when near singular
+            B = rng.standard_normal((n, max(n - 1, 0)))
+            target = -(B @ B.T)
+            if kind == "near_singular":
+                target -= float(rng.choice([-1.0, 1.0])) * 2.0**-40 * np.eye(n)
+            partial = sum(t * s.sign * P for t, s, P in zip(tau[:-1], senses, forms))
+            tau[-1] = 1.0
+            senses[-1] = Sense.STRICT_POSITIVE
+            forms[-1] = target - partial
+        elif kind == "sparse":
+            forms[:, rng.random((n, n)) < 0.5] = 0.0
+        c = cone(0.5 * (forms + forms.transpose(0, 2, 1)), senses)
+    assert exactly_negative_definite(tau, c) == fraction_negative_definite(tau, c)
+
+
+def test_integer_check_on_zero_weights_and_forms():
+    c = cone([np.zeros((3, 3)), -np.eye(3)], [Sense.STRICT_POSITIVE, Sense.STRICT_POSITIVE])
+    for tau in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0**-1074, 0.0], [0.0, 2.0**-1074]):
+        tau = np.array(tau)
+        assert exactly_negative_definite(tau, c) == fraction_negative_definite(tau, c)
+    assert exactly_negative_definite(np.array([0.0, 2.0**-1074]), c)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from saist import build_l_complete, discretize, kernels, refine_sac, sigma_cone
 from saist.cones import cone_step
-from saist.oracle import ConeOracle
+from saist.oracle import CHUNK_FORMS, ConeOracle, _worst
 
 from test_oracle import system_3d
 from test_petc import system_2d
@@ -20,7 +20,8 @@ _discs = {}
 
 def disc_of(name):
     if name not in _discs:
-        _discs[name] = discretize(SYSTEMS[name])
+        system = system_2d(sigma=0.3, kbar=1) if name == "2d_kbar1" else SYSTEMS[name]
+        _discs[name] = discretize(system)
     return _discs[name]
 
 
@@ -60,14 +61,11 @@ def sigma_cone_phi(disc, word):
     return phi
 
 
-@SETTINGS
-@given(name=st.sampled_from(sorted(SYSTEMS)), word=words)
-def test_incremental_stacks_and_margins_are_bitwise(name, word):
-    disc = disc_of(name)
-    oracle = ConeOracle(disc)
-    memo = oracle._extend(word)
+def assert_scratch(disc, oracle, word, memo):
+    """The kept cone of `word` is bitwise the one built from scratch."""
     mats, signs = sigma_cone(disc, word).arrays()
     assert same(memo.cone.constraints, sigma_cone(disc, word).constraints)
+    mats = mats.reshape(-1, disc.n, disc.n)  # `stack` of no constraints is flat
     assert np.array_equal(memo.mats, mats) and np.array_equal(memo.signs, signs)
     assert np.array_equal(memo.phi, sigma_cone_phi(disc, word))
     if len(signs):
@@ -75,6 +73,54 @@ def test_incremental_stacks_and_margins_are_bitwise(name, word):
     else:
         full = np.full(len(oracle.pool), np.inf)
     assert np.array_equal(memo.worst, full)
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(SYSTEMS)), word=words)
+def test_incremental_stacks_and_margins_are_bitwise(name, word):
+    disc = disc_of(name)
+    oracle = ConeOracle(disc)
+    (memo,) = oracle._extend_words([word])
+    assert_scratch(disc, oracle, word, memo)
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(SYSTEMS) + ["2d_kbar1"]),
+    parents=st.lists(st.lists(st.integers(1, 20), max_size=6).map(tuple), min_size=1, max_size=4),
+    letters=st.lists(
+        st.tuples(st.integers(0, 3), st.one_of(st.integers(1, 20), st.just(20))),
+        min_size=1,
+        max_size=40,
+    ),
+    kept=st.booleans(),
+)
+def test_batched_cones_are_bitwise_scratch(name, parents, letters, kept):
+    """A batch with shared parents, k = kbar letters and more forms than one
+    chunk builds every cone bitwise as `sigma_cone` does from scratch."""
+    disc = disc_of(name)
+
+    def clamp(w):
+        return tuple(min(k, disc.kbar) for k in w)
+
+    parents = [clamp(p) for p in parents]
+    batch = [clamp(parents[i % len(parents)] + (k,)) for i, k in letters]
+    oracle = ConeOracle(disc)
+    if kept:  # the nonempty parents' cones are kept, as after an abstraction is built
+        oracle._extend_words([p for p in parents if p])
+    rng = np.random.default_rng(len(letters))
+    for p in [p for p in parents if p][::2]:  # the empty word is never decided
+        for _ in range(1 + len(p) % 2):  # one or two witnesses
+            oracle._record_witness(p, rng.standard_normal(disc.n))
+    was_kept = set(oracle._memo)
+    for w, memo in zip(batch, oracle._extend_words(batch)):
+        assert memo.cone.word == w
+        assert_scratch(disc, oracle, w, memo)
+        starts = oracle.witnesses(w[:-1])
+        if starts and w not in was_kept:  # scored as for a cone the oracle did not build
+            want = _worst(np.vstack(starts), *sigma_cone(disc, w).arrays())
+            assert np.array_equal(memo.start_worst, want)
+    assert set(batch) <= set(oracle._memo)
 
 
 def scratch_level(disc, oracle, level, l):
@@ -111,6 +157,26 @@ def test_memo_build_matches_scratch_cones(name, depth):
             got, want = memo.witnesses(w), ref.witnesses(w)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert memo.stats == ref.stats
+
+
+def test_feasible_words_in_chunks_match_word_by_word(monkeypatch):
+    """Chunks cap their new forms, and a batch that holds words with their
+    parents decides as the same words one at a time do."""
+    disc = disc_of("2d")
+    words = [(1, 2), (1,), (3,), (3, 1)]
+    words += [(k,) for k in range(1, 21)] + [(a, b) for a in (2, 3, 4) for b in range(1, 21)]
+    batch = ConeOracle(disc)
+    chunks = []
+    extend = batch._extend_words
+    monkeypatch.setattr(batch, "_extend_words", lambda ws: chunks.append(ws) or extend(ws))
+    got = batch.feasible_words(words)
+    alone = ConeOracle(disc)
+    assert [v.status for v in got] == [alone.feasible_word(w).status for w in words]
+    assert verdicts(batch) == verdicts(alone) and batch.stats == alone.stats
+    assert len(chunks) > 1
+    for chunk in chunks:
+        forms = sum(k if k < disc.kbar else k - 1 for *_, k in chunk)
+        assert len(chunk) == 1 or forms <= CHUNK_FORMS
 
 
 def test_build_from_scratch_equals_build_from_prev():
