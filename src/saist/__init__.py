@@ -14,7 +14,7 @@ from .petc import (
     running_average,
     perturb,
 )
-from .cones import ConeSystem, QuadConstraint, Sense, sigma_cone, subspace_contained
+from .cones import ConeSystem, sigma_cone, subspace_contained
 from .oracle import ConeOracle, FeasibilityVerdict, Status
 from .abstraction import TrafficAbstraction, build_l_complete, domino_transitions, refine_sac
 from .quantgraph import (
@@ -59,8 +59,6 @@ __all__ = [
     "running_average",
     "perturb",
     "ConeSystem",
-    "QuadConstraint",
-    "Sense",
     "sigma_cone",
     "subspace_contained",
     "ConeOracle",

@@ -15,7 +15,6 @@ def build_parser():
     a.add_argument("config", help="path to the JSON system description")
     a.add_argument("--l-max", type=int, default=None, help="abstraction depth budget")
     a.add_argument("--mode", choices=["full", "targeted"], default=None)
-    a.add_argument("--solver-path", default=None, help="external SMT-LIB2 solver executable")
     a.add_argument("--seed", type=int, default=None)
     a.add_argument("--dot", metavar="OUT.dot", default=None, help="write the final abstraction digraph")
     a.add_argument("--report", metavar="OUT.json", default=None, help="write the full JSON report")
@@ -42,8 +41,6 @@ def main(argv=None):
             overrides["l_max"] = args.l_max
         if args.mode is not None:
             overrides["mode"] = args.mode
-        if args.solver_path is not None:
-            overrides["solver_path"] = args.solver_path
         if args.seed is not None:
             overrides["seed"] = args.seed
         config = parse_config(data, **overrides)

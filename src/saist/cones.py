@@ -1,6 +1,5 @@
 """Homogeneous quadratic cones for IST words and subspace containment checks."""
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,98 +8,89 @@ from .errors import ConfigError, RankDeficientBasis
 from .petc import DiscretizedSystem, SYM_TOL
 
 
-class Sense(enum.Enum):
-    STRICT_POSITIVE = "strict_positive"  # x'Px > 0
-    NON_POSITIVE = "non_positive"  # x'Px <= 0
-
-    @property
-    def sign(self):
-        return 1.0 if self is Sense.STRICT_POSITIVE else -1.0
-
-
-@dataclass(frozen=True)
-class QuadConstraint:
-    P: np.ndarray
-    sense: Sense
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=np.float64)
-        if np.max(np.abs(P - P.T)) > SYM_TOL * max(1.0, np.max(np.abs(P))):
-            raise ConfigError("constraint matrix must be symmetric")
-        P = 0.5 * (P + P.T)
-        P.setflags(write=False)
-        object.__setattr__(self, "P", P)
-
-    @classmethod
-    def symmetric(cls, P, sense):
-        """A constraint on a form that is already exactly symmetric, such as
-        0.5 * (P + P.T); it skips the check and the second symmetrisation."""
-        c = object.__new__(cls)
-        P.setflags(write=False)
-        object.__setattr__(c, "P", P)
-        object.__setattr__(c, "sense", sense)
-        return c
-
-    def satisfied(self, x, tol=0.0):
-        v = float(x @ self.P @ x)
-        return v > tol if self.sense is Sense.STRICT_POSITIVE else v <= tol
-
-    def margin(self, x):
-        """Signed margin; positive means strictly satisfied."""
-        return self.sense.sign * float(x @ self.P @ x)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSystem:
     """Conjunction of quadratic constraints pinning the next |word| ISTs.
 
-    All constraints are pulled back to the initial state by congruence with
-    the cumulative products of the M(k) matrices, so membership of x is a
-    direct evaluation.
+    Form i is mats[i], (c, n, n); signs[i] is +1 for x'Px > 0 and -1 for
+    x'Px <= 0.  All forms are pulled back to the initial state by
+    congruence with the cumulative products of the M(k) matrices, so
+    membership of x is a direct evaluation.  The constructor checks and
+    symmetrises forms from outside; `_of` takes forms that are exactly
+    symmetric by construction, such as `letter_forms`'s, unchecked.
     """
 
     word: tuple
-    constraints: tuple
+    mats: np.ndarray
+    signs: np.ndarray
     variant: str = ""  # cache discriminator for derived cones (e.g. inflation)
+
+    def __post_init__(self):
+        mats = np.array(self.mats, dtype=np.float64)
+        signs = np.array(self.signs, dtype=np.float64)
+        if mats.ndim != 3 or not 0 < mats.shape[1] == mats.shape[2] or signs.shape != mats.shape[:1]:
+            raise ConfigError("forms must be a (c, n, n) stack with one sign each")
+        if not np.isin(signs, (1.0, -1.0)).all():
+            raise ConfigError("signs must be +1 or -1")
+        asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        if (asym > SYM_TOL * np.abs(mats).max(axis=(1, 2), initial=1.0)).any():
+            raise ConfigError("constraint matrix must be symmetric")
+        self._set(tuple(self.word), 0.5 * (mats + mats.transpose(0, 2, 1)), signs, self.variant)
+
+    def _set(self, word, mats, signs, variant):
+        mats.setflags(write=False)
+        signs.setflags(write=False)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "variant", variant)
+
+    @classmethod
+    def _of(cls, word, mats, signs):
+        """The cone of exactly symmetric float64 (mats, signs) stacks, unchecked."""
+        cone = object.__new__(cls)
+        cone._set(word, mats, signs, "")
+        return cone
 
     @property
     def n(self):
-        return self.constraints[0].P.shape[0] if self.constraints else 0
+        return self.mats.shape[1]
 
     def contains(self, x, tol=0.0):
-        return all(c.satisfied(x, tol) for c in self.constraints)
+        for P, s in zip(self.mats, self.signs.tolist()):
+            v = float(x @ P @ x)
+            if not (v > tol if s > 0 else v <= tol):
+                return False
+        return True
 
     def min_margin(self, x):
-        return min((c.margin(x) for c in self.constraints), default=np.inf)
-
-    def arrays(self):
-        """(mats, signs) stacks for the batch kernels."""
-        return stack(self.constraints)
+        """The smallest signed margin; positive means strictly satisfied."""
+        return min(
+            (s * float(x @ P @ x) for P, s in zip(self.mats, self.signs.tolist())),
+            default=np.inf,
+        )
 
     def inflate(self, epsilon):
         """Add epsilon*I to every constraint matrix (cone inflation)."""
-        eye = np.eye(self.n)
-        cs = tuple(QuadConstraint(c.P + epsilon * eye, c.sense) for c in self.constraints)
         return ConeSystem(
-            word=self.word, constraints=cs, variant=f"{self.variant}+eps{epsilon!r}"
+            self.word,
+            self.mats + epsilon * np.eye(self.n),
+            self.signs,
+            variant=f"{self.variant}+eps{epsilon!r}",
         )
 
 
-def stack(constraints):
-    """(mats, signs) stacks of a sequence of constraints."""
-    mats = np.array([c.P for c in constraints])
-    signs = np.array([c.sense.sign for c in constraints])
-    return mats, signs
-
-
 def letter_forms(disc: DiscretizedSystem, phis, letters):
-    """`cone_step` for a batch of words, as arrays: phis (B, n, n) are the
-    words' cumulative matrices and letters (B,) the letters appended.
+    """The forms of one more letter for each of a batch of words: phis
+    (B, n, n) are the words' cumulative matrices, letters (B,) the letters
+    appended.
 
-    Returns (phis advanced by M(k), forms (F, n, n), signs (F,), counts
-    (B,)): word b's forms are the next counts[b] rows, in `cone_step`'s
-    order.  One stacked matmul builds every form, so each one is bitwise
-    the form a batch of one would give.
+    Letter k contributes a non-positive form N(m) for each m < k, then a
+    strict-positive N(k) (absent for k = kbar), each pulled back by its
+    word's phi.  Returns (phis advanced by M(k), forms (F, n, n), signs
+    (F,), counts (B,)): word b's forms are the next counts[b] rows.  One
+    stacked matmul builds every form, so each one is bitwise the form a
+    batch of one would give.
     """
     ks = np.asarray(letters, dtype=np.intp)
     counts = np.where(ks < disc.kbar, ks, ks - 1)
@@ -109,30 +99,8 @@ def letter_forms(disc: DiscretizedSystem, phis, letters):
     phi = phis[owner]
     P = phi.transpose(0, 2, 1) @ disc.N[m - 1] @ phi
     P = 0.5 * (P + P.transpose(0, 2, 1))
-    signs = np.where(m < ks[owner], Sense.NON_POSITIVE.sign, Sense.STRICT_POSITIVE.sign)
+    signs = np.where(m < ks[owner], -1.0, 1.0)
     return disc.M[ks - 1] @ phis, P, signs, counts
-
-
-_SENSE_OF_SIGN = {s.sign: s for s in Sense}
-
-
-def constraints_of(forms, signs) -> tuple:
-    """QuadConstraints of exactly symmetric (forms, signs) stacks."""
-    return tuple(
-        QuadConstraint.symmetric(P, _SENSE_OF_SIGN[s]) for P, s in zip(forms, signs.tolist())
-    )
-
-
-def cone_step(disc: DiscretizedSystem, phi, constraints, k):
-    """Append letter k to a word whose cone is (phi, constraints).
-
-    Letter k contributes non-positive constraints on N(m), m < k, then one
-    strict-positive constraint on N(k) (absent for k = kbar), each pulled
-    back by phi; phi then advances to M(k) @ phi.  Returns the child's
-    (phi, constraints), the parent's constraints as a prefix.
-    """
-    phis, forms, signs, _ = letter_forms(disc, phi[None], [k])
-    return phis[0], constraints + constraints_of(forms, signs)
 
 
 def checked_word(disc: DiscretizedSystem, word) -> tuple:
@@ -146,17 +114,20 @@ def checked_word(disc: DiscretizedSystem, word) -> tuple:
 
 
 def sigma_cone(disc: DiscretizedSystem, word) -> ConeSystem:
-    """Constraints of the set of states whose next |word| ISTs are exactly
-    `word`: :func:`cone_step` folded over the word from the identity."""
+    """The cone of the states whose next |word| ISTs are exactly `word`:
+    :func:`letter_forms` folded over the word from the identity."""
     word = checked_word(disc, word)
-    phi, constraints = np.eye(disc.n), ()
+    phis, mats, signs = np.eye(disc.n)[None], [], []
     for k in word:
-        phi, constraints = cone_step(disc, phi, constraints, k)
-    return ConeSystem(word=word, constraints=constraints)
+        phis, forms, s, _ = letter_forms(disc, phis, [k])
+        mats.append(forms)
+        signs.append(s)
+    return ConeSystem._of(word, np.concatenate(mats), np.concatenate(signs))
 
 
-def subspace_contained(V, c: QuadConstraint, tol: float) -> bool:
-    """Whether span(V) \\ {0} lies in the constraint's solution set.
+def subspace_contained(V, P, sign, tol: float) -> bool:
+    """Whether span(V) \\ {0} satisfies the form P: x'Px > 0 for sign +1,
+    x'Px <= 0 for sign -1.
 
     Strict-positive: lambda_min(V'PV) > tol; non-positive: lambda_max <= tol.
     """
@@ -166,9 +137,9 @@ def subspace_contained(V, c: QuadConstraint, tol: float) -> bool:
     sv = np.linalg.svd(V, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-10:
         raise RankDeficientBasis("basis matrix is rank deficient")
-    G = V.T @ c.P @ V
+    G = V.T @ P @ V
     G = 0.5 * (G + G.T)
     eig = np.linalg.eigvalsh(G)
-    if c.sense is Sense.STRICT_POSITIVE:
+    if sign > 0:
         return bool(eig[0] > tol)
     return bool(eig[-1] <= tol)

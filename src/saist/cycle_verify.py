@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSystem, cone_step, sigma_cone, subspace_contained
+from .cones import ConeSystem, letter_forms, sigma_cone, subspace_contained
 from .errors import DefectiveMatrix, RankDeficientBasis, SingularCycleMatrix
 from .oracle import Status
 from .petc import DiscretizedSystem, trace
@@ -148,11 +148,12 @@ def basic_invariant_subspaces(M) -> list:
 def _chain_contained(disc, word, V, tol=STRICT_TOL):
     """The propagated-basis containment chain for one candidate subspace."""
     Vj = V
-    eye = np.eye(disc.n)
+    eye = np.eye(disc.n)[None]
     for k in word:
-        for c in cone_step(disc, eye, (), k)[1]:
+        _, forms, signs, _ = letter_forms(disc, eye, [k])
+        for P, sign in zip(forms, signs):
             try:
-                if not subspace_contained(Vj, c, tol):
+                if not subspace_contained(Vj, P, sign, tol):
                     return False
             except RankDeficientBasis:
                 return False
@@ -227,7 +228,7 @@ def normalized_distance(V, cone: ConeSystem, budget: int = 2000, seed: int = 0) 
     if sv[-1] <= 1e-10:
         raise RankDeficientBasis("basis matrix is rank deficient")
     Q, _ = np.linalg.qr(V)
-    if not cone.constraints:
+    if not len(cone.signs):
         return 1.0
     n = Q.shape[0]
     rng = np.random.default_rng(seed)

@@ -1,6 +1,6 @@
 """Certified feasibility decisions for conjunctions of homogeneous quadratics.
 
-Used as the built-in exact engine when no external SMT solver is configured.
+`BuiltinDecider` is the oracle's engine; it decides every cone in process.
 Dimension 1 is direct evaluation.  Dimensions 2 and 3 share one scheme:
 restrict every form to a parametrised curve, find where each changes sign,
 and evaluate all the roots and arc midpoints in one einsum.  In 2-D the
@@ -22,7 +22,7 @@ from collections import deque
 
 import numpy as np
 
-from .cones import ConeSystem, Sense
+from .cones import ConeSystem
 from .kernels import _margins  # (p, c) signed margins in one einsum
 
 
@@ -91,7 +91,7 @@ def decide_planar(cone: ConeSystem):
     each whose worst margin is within rounding of zero is then checked by
     `cone.contains`, best first, and the first to pass is the witness.
     """
-    mats, signs = cone.arrays()
+    mats, signs = cone.mats, cone.signs
     t = _planar_angles(mats)
     pts = np.column_stack([np.cos(t), np.sin(t)])
     worst = _margins(pts, mats, signs).min(axis=1)
@@ -172,7 +172,7 @@ def decide_sphere_curves(cone: ConeSystem, max_regions=400_000):
     unknown when no such witness turns up.  A form with a numerically zero
     eigenvalue has no oval; then the branch-and-bound decides.
     """
-    mats, signs = cone.arrays()
+    mats, signs = cone.mats, cone.signs
     norms = np.linalg.norm(mats, axis=(1, 2))
     G = mats / np.maximum(norms, 1e-300)[:, None, None]
     lam, vec = np.linalg.eigh(G)
@@ -215,11 +215,11 @@ def exactly_negative_definite(weights, cone: ConeSystem) -> bool:
     """
     n = cone.n
     terms = {(i, j): [] for i in range(n) for j in range(i, n)}
-    for w, c in zip(weights, cone.constraints):
+    for w, P, s in zip(weights, cone.mats, cone.signs.tolist()):
         if w == 0.0:
             continue
-        mw, ew = _dyadic(-float(w) * c.sense.sign)
-        P = c.P.tolist()
+        mw, ew = _dyadic(-float(w) * s)
+        P = P.tolist()
         for (i, j), entry in terms.items():
             m, e = _dyadic(P[i][j])
             entry.append((mw * m, ew + e))
@@ -250,7 +250,7 @@ def s_procedure_certificate(cone: ConeSystem):
     with step 16/sqrt(t), stopping at the first negative lambda_max.  Weights
     are returned only once `exactly_negative_definite` accepts them.
     """
-    mats, signs = cone.arrays()
+    mats, signs = cone.mats, cone.signs
     norms = np.linalg.norm(mats, axis=(1, 2))
     live = norms > 0.0  # a zero form cannot help the sum
     if not live.any():
@@ -295,7 +295,7 @@ def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000, witness_tol=1e-9):
     Lipschitz bound |x'Px - c'Pc| <= 2||P|| |x - c|; sat is reported from a
     region center satisfying everything with margin; budget -> unknown.
     """
-    mats, signs = cone.arrays()
+    mats, signs = cone.mats, cone.signs
     lip = 2.0 * np.array([np.linalg.norm(P, 2) for P in mats])
     # a NON_POSITIVE constraint holds where x'Px = 0, so it prunes only on a
     # strictly negative bound; the slack covers rounding in c'Pc, r and lip
@@ -348,7 +348,8 @@ def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000, witness_tol=1e-9):
 
 
 class BuiltinDecider:
-    """Decision engine with the same reply contract as the external solver."""
+    """The oracle's engine: ``check(cone)`` replies ('sat', witness),
+    ('unsat', None) or ('unknown', None), dispatching on the dimension."""
 
     def __init__(self, max_regions=400_000):
         self.max_regions = max_regions

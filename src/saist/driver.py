@@ -23,7 +23,6 @@ from .quantgraph import (
     attracting_scc_bound,
     min_mean_cycles,
 )
-from .smtlib import SolverClient
 
 
 @dataclass
@@ -31,7 +30,6 @@ class SaistConfig:
     system: PetcSystem
     l_max: int = 50
     mode: str = "full"  # or "targeted"
-    solver_path: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -73,7 +71,7 @@ def parse_config(data: dict, **overrides) -> SaistConfig:
         raise ConfigError("trigger type must be 'relative_error' or 'quadratic'")
     sys = PetcSystem(A=A, BK=B @ K, Qtrig=Q, h=float(data["h"]), kbar=int(data["kbar"]))
     kwargs = {}
-    for key in ("l_max", "mode", "solver_path", "seed"):
+    for key in ("l_max", "mode", "seed"):
         if key in data:
             kwargs[key] = data[key]
     kwargs.update(overrides)
@@ -236,8 +234,7 @@ def compute_saist(config: SaistConfig) -> SaistReport:
     """Refine the traffic abstraction until its smallest-in-average cycle is a
     proven behavior of the closed loop, or until the depth budget runs out."""
     disc = discretize(config.system)
-    engine = SolverClient(config.solver_path) if config.solver_path else "builtin"
-    oracle = ConeOracle(disc, engine=engine, seed=config.seed)
+    oracle = ConeOracle(disc, seed=config.seed)
 
     def next_abstraction(prev, sac_states):
         if prev is not None and config.mode == "targeted":

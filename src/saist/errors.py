@@ -17,10 +17,6 @@ class NonFiniteState(SaistError):
     """A simulated trajectory diverged beyond floating-point range."""
 
 
-class SolverError(SaistError):
-    """The external solver produced a malformed or unexpected reply."""
-
-
 class RankDeficientBasis(SaistError):
     """A subspace basis matrix does not have full column rank."""
 

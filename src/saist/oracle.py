@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .cones import ConeSystem, checked_word, constraints_of, letter_forms
+from .cones import ConeSystem, checked_word, letter_forms
 from .decider import WITNESS_TOL, BuiltinDecider, s_procedure_certificate
 from .petc import DiscretizedSystem
 
@@ -26,7 +26,7 @@ class Status(enum.Enum):
 class Method(enum.Enum):
     SAMPLING = "sampling"
     CERTIFICATE = "certificate"
-    EXTERNAL = "external"
+    ENGINE = "engine"
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,13 @@ class FeasibilityVerdict:
 
 
 class _Cone(NamedTuple):
-    """A word's cone with what its children extend: the cumulative matrix,
-    the (mats, signs) stacks and the pool's worst margin per point; then the
-    parent word's witnesses and their worst margins, as scored when the
-    cone was built (None if there were none)."""
+    """A word's cone with what its children extend: the cumulative matrix
+    and the pool's worst margin per point; then the parent word's witnesses
+    and their worst margins, as scored when the cone was built (None if
+    there were none)."""
 
     cone: ConeSystem
     phi: np.ndarray
-    mats: np.ndarray
-    signs: np.ndarray
     worst: np.ndarray
     starts: Optional[np.ndarray] = None
     start_worst: Optional[np.ndarray] = None
@@ -92,20 +90,19 @@ class ConeOracle:
     which builds a lone word's cone as a batch of one.  The parents kept
     are the words passed to the last `retain`, plus the feasible words
     decided since.  `engine` is anything with
-    ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``, typically a
-    :class:`saist.smtlib.SolverClient` or :class:`saist.decider.BuiltinDecider`.
+    ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``; the default is
+    :class:`saist.decider.BuiltinDecider`.
     """
 
-    def __init__(self, disc: DiscretizedSystem, engine="builtin", seed=0, pool_size=512):
+    def __init__(self, disc: DiscretizedSystem, engine=None, seed=0, pool_size=512):
         self.disc = disc
-        self.engine = BuiltinDecider() if engine == "builtin" else engine
+        self.engine = BuiltinDecider() if engine is None else engine
         self.pool = _unit_pool(disc.n, pool_size, seed)
         self._verdicts = {}
         self._witnesses = {}
         n = disc.n
-        root = ConeSystem(word=(), constraints=())
-        empty = np.empty((0, n, n)), np.empty(0)
-        self._root = _Cone(root, np.eye(n), *empty, _worst(self.pool, *empty))
+        root = ConeSystem._of((), np.empty((0, n, n)), np.empty(0))
+        self._root = _Cone(root, np.eye(n), _worst(self.pool, root.mats, root.signs))
         self._memo = {}
         self.stats = {"sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0}
 
@@ -120,31 +117,42 @@ class ConeOracle:
         self._witnesses.setdefault(tuple(word), []).append(np.asarray(x, dtype=float))
 
     def _pool(self, cone: ConeSystem):
-        """Pool points plus the parent word's witnesses, their worst margins,
-        and the cone's (mats, signs) stacks."""
+        """The pool's worst margins on the cone, then the parent word's
+        witnesses and their worst margins (None and None if it has none)."""
         memo = self._memo.get(cone.word)
-        if memo is not None and memo.cone is cone:
-            mats, signs, worst = memo.mats, memo.signs, memo.worst
-        else:
-            memo = None
-            mats, signs = cone.arrays()
-            worst = _worst(self.pool, mats, signs)
+        kept = memo is not None and memo.cone is cone
+        worst = memo.worst if kept else _worst(self.pool, cone.mats, cone.signs)
         ws = self.witnesses(cone.word[:-1])
         if not ws:
-            return self.pool, worst, mats, signs
-        if memo is not None and memo.starts is not None and len(memo.starts) == len(ws):
-            starts, start_worst = memo.starts, memo.start_worst
-        else:  # a cone built elsewhere, or witnesses recorded since it was built
-            starts = np.vstack(ws)
-            start_worst = _worst(starts, mats, signs)
-        return np.vstack([self.pool, starts]), np.concatenate([worst, start_worst]), mats, signs
+            return worst, None, None
+        if kept and memo.starts is not None and len(memo.starts) == len(ws):
+            return worst, memo.starts, memo.start_worst
+        # a cone built elsewhere, or witnesses recorded since it was built
+        starts = np.vstack(ws)
+        return worst, starts, _worst(starts, cone.mats, cone.signs)
 
-    def _ascend(self, pts, worst, mats, signs):
+    def _best(self, worst, starts, start_worst):
+        """The point with the largest worst margin, and that margin: the
+        first maximum, pool points before witnesses."""
+        best = int(np.argmax(worst))
+        x, top = self.pool[best], worst[best]
+        if starts is not None:
+            j = int(np.argmax(start_worst))
+            if start_worst[j] > top:
+                x, top = starts[j], start_worst[j]
+        return x, top
+
+    def _ascend(self, cone, worst, starts, start_worst):
         """Locally improve the most promising points; a witness or None."""
+        pts = self.pool
+        if starts is not None:
+            pts, worst = np.vstack([pts, starts]), np.concatenate([worst, start_worst])
         order = np.argsort(worst)[::-1][:8]
         steps = max(20, BUDGET // max(1, len(order)))
         for i in order:
-            x, mm = kernels.min_margin_ascent(pts[i], mats, signs, steps=steps, tol=WITNESS_TOL)
+            x, mm = kernels.min_margin_ascent(
+                pts[i], cone.mats, cone.signs, steps=steps, tol=WITNESS_TOL
+            )
             if mm > WITNESS_TOL:
                 return x / np.linalg.norm(x)
         return None
@@ -169,26 +177,25 @@ class ConeOracle:
         if cached is not None:
             return cached
         pool = self._pool(cone)
-        pts, worst, *_ = pool
-        best = int(np.argmax(worst))
-        if worst[best] > WITNESS_TOL:
-            return self._sampled(key, pts[best] / np.linalg.norm(pts[best]))
+        x, top = self._best(*pool)
+        if top > WITNESS_TOL:
+            return self._sampled(key, x / np.linalg.norm(x))
         if cone.n >= 3 and s_procedure_certificate(cone) is not None:
             self.stats["certified"] += 1
             return self._store(key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE))
         if cone.n >= 4:
-            x = self._ascend(*pool)
+            x = self._ascend(cone, *pool)
             if x is not None:
                 return self._sampled(key, x)
         self.stats["engine_calls"] += 1
         reply, witness = self.engine.check(cone)
         if reply == "sat":
             w = np.asarray(witness, dtype=float)
-            v = FeasibilityVerdict(Status.FEASIBLE, w / np.linalg.norm(w), Method.EXTERNAL)
+            v = FeasibilityVerdict(Status.FEASIBLE, w / np.linalg.norm(w), Method.ENGINE)
         elif reply == "unsat":
-            v = FeasibilityVerdict(Status.INFEASIBLE, None, Method.EXTERNAL)
+            v = FeasibilityVerdict(Status.INFEASIBLE, None, Method.ENGINE)
         else:
-            v = FeasibilityVerdict(Status.UNKNOWN, None, Method.EXTERNAL)
+            v = FeasibilityVerdict(Status.UNKNOWN, None, Method.ENGINE)
         return self._store(key, v)
 
     def _extend_words(self, words):
@@ -224,13 +231,14 @@ class ConeOracle:
             margins = np.ascontiguousarray(kernels.margins(self.pool, forms, signs).T)
         ends = np.cumsum(counts).tolist()
         for w, parent, phi, hi, count in zip(level, parents, phis, ends, counts.tolist()):
-            lo = hi - count
-            constraints = parent.cone.constraints + constraints_of(forms[lo:hi], signs[lo:hi])
+            lo, cone = hi - count, parent.cone
             built[w] = _Cone(
-                ConeSystem(word=w, constraints=constraints),
+                ConeSystem._of(
+                    w,
+                    np.concatenate([cone.mats, forms[lo:hi]]),
+                    np.concatenate([cone.signs, signs[lo:hi]]),
+                ),
                 phi,
-                np.concatenate([parent.mats, forms[lo:hi]]),
-                np.concatenate([parent.signs, signs[lo:hi]]),
                 np.minimum(parent.worst, margins[lo:hi].min(axis=0)) if count else parent.worst,
             )
 
@@ -240,7 +248,7 @@ class ConeOracle:
         pairs = [(w, np.vstack(ws)) for w in words if (ws := self.witnesses(w[:-1]))]
         if not pairs:
             return
-        stacks = [self._memo[w] for w, starts in pairs for _ in starts]
+        stacks = [self._memo[w].cone for w, starts in pairs for _ in starts]
         sizes = np.array([len(c.signs) for c in stacks])
         worst = np.full(len(stacks), np.inf)  # a word without forms: no margin
         if sizes.any():

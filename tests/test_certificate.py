@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from saist import ConeSystem, QuadConstraint, Sense
+from saist import ConeSystem
 from saist.decider import decide_sphere_bnb, exactly_negative_definite, s_procedure_certificate
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -25,10 +25,8 @@ def exact_value(x, P):
     return sum(xs[i] * Fraction(float(P[i, j])) * xs[j] for i in range(n) for j in range(n))
 
 
-def cone(forms, senses):
-    return ConeSystem(
-        word=(1,), constraints=tuple(QuadConstraint(P, s) for P, s in zip(forms, senses))
-    )
+def cone(forms, signs):
+    return ConeSystem(word=(1,), mats=forms, signs=signs)
 
 
 def unit_points(rng, n, count):
@@ -37,39 +35,39 @@ def unit_points(rng, n, count):
 
 
 def cone_containing_a_point(rng, n, m):
-    """(cone, x): random forms with senses chosen so that x satisfies every
-    constraint in exact arithmetic; NON_POSITIVE ones are made tight at x
+    """(cone, x): random forms with signs chosen so that x satisfies every
+    constraint in exact arithmetic; non-positive ones are made tight at x
     half of the time."""
     x = rng.standard_normal(n)
     forms = random_forms(rng, m, n)
-    senses = []
+    signs = []
     for i in range(m):
         if rng.random() < 0.5:
             forms[i] -= (x @ forms[i] @ x) / (x @ x) * np.eye(n)
         v = exact_value(x, forms[i])
-        senses.append(Sense.STRICT_POSITIVE if v > 0 else Sense.NON_POSITIVE)
-    return cone(forms, senses), x
+        signs.append(1.0 if v > 0 else -1.0)
+    return cone(forms, signs), x
 
 
 def cone_with_a_certificate(rng, n, m, scale):
     """A cone with a known certificate: the last form closes a weighted sum
     of random forms to -(B B' + scale I)."""
     forms = random_forms(rng, m, n)
-    senses = [Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE for _ in range(m)]
+    signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(m)]
     w = rng.uniform(0.1, 1.0, m)
     B = rng.standard_normal((n, n))
     target = -(B @ B.T + scale * np.eye(n))
-    partial = sum(w[i] * s.sign * forms[i] for i, s in enumerate(senses[:-1]))
-    forms[-1] = senses[-1].sign * (target - partial) / w[-1]
-    return cone(forms, senses)
+    partial = sum(w[i] * s * forms[i] for i, s in enumerate(signs[:-1]))
+    forms[-1] = signs[-1] * (target - partial) / w[-1]
+    return cone(forms, signs)
 
 
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), m=st.integers(1, 12))
 def test_cone_containing_a_point_gets_no_certificate(seed, n, m):
     c, x = cone_containing_a_point(np.random.default_rng(seed), n, m)
-    assert all(exact_value(x, q.P) > 0 if q.sense is Sense.STRICT_POSITIVE
-               else exact_value(x, q.P) <= 0 for q in c.constraints)
+    assert all(exact_value(x, P) > 0 if s > 0
+               else exact_value(x, P) <= 0 for P, s in zip(c.mats, c.signs))
     assert s_procedure_certificate(c) is None
 
 
@@ -89,7 +87,7 @@ def test_certified_cone_has_no_points(seed, n, m, scale):
     assert exactly_negative_definite(tau, c)
     reply, _ = decide_sphere_bnb(c, max_regions=1500)
     assert reply != "sat"
-    mats, signs = c.arrays()
+    mats, signs = c.mats, c.signs
     pts = unit_points(rng, n, 20_000)
     q = np.einsum("pi,cij,pj->pc", pts, mats, pts)
     inside = np.where(signs > 0, q > 0, q <= 0).all(axis=1)
@@ -99,7 +97,7 @@ def test_certified_cone_has_no_points(seed, n, m, scale):
 def test_certificate_found_on_a_plainly_empty_cone():
     c = cone(
         [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -2.0]), np.diag([0.5, 0.5, 3.0])],
-        [Sense.STRICT_POSITIVE, Sense.STRICT_POSITIVE, Sense.NON_POSITIVE],
+        [1.0, 1.0, -1.0],
     )
     tau = s_procedure_certificate(c)
     assert tau is not None and exactly_negative_definite(tau, c)
@@ -112,12 +110,12 @@ def test_exact_check_rejects_a_sum_that_rounds_negative():
     e = np.diag([0.0, 0.0, 1.0])
     c = cone(
         [-3.0 * e, e, (0.5 - 2.0**-54) * e, np.diag([-1.0, -1.0, 0.0])],
-        [Sense.STRICT_POSITIVE] * 4,
+        [1.0] * 4,
     )
     tau = np.array([1.0 / 3.0, 0.5, 1.0, 1.0])
     float_sum = np.zeros((3, 3))
-    for t, q in zip(tau, c.constraints):
-        float_sum = float_sum + t * q.sense.sign * q.P
+    for t, P, s in zip(tau, c.mats, c.signs):
+        float_sum = float_sum + t * s * P
     assert np.linalg.eigvalsh(float_sum).max() < 0  # looks negative definite
     assert not exactly_negative_definite(tau, c)
     # with a smaller weight on the positive term the exact sum is negative
@@ -129,13 +127,13 @@ def fraction_negative_definite(weights, c):
     Gaussian elimination without pivoting."""
     n = c.n
     S = [[Fraction(0)] * n for _ in range(n)]
-    for w, q in zip(weights, c.constraints):
+    for w, P, s in zip(weights, c.mats, c.signs):
         if w == 0.0:
             continue
-        f = Fraction(float(w)) * int(q.sense.sign)
+        f = Fraction(float(w)) * int(s)
         for i in range(n):
             for j in range(i, n):
-                S[i][j] -= f * Fraction(float(q.P[i, j]))
+                S[i][j] -= f * Fraction(float(P[i, j]))
     for i in range(n):
         for j in range(i):
             S[i][j] = S[j][i]
@@ -159,7 +157,7 @@ def fraction_negative_definite(weights, c):
 def test_integer_check_agrees_with_fractions(seed, n, m, kind):
     rng = np.random.default_rng(seed)
     tau = rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8)
-    senses = [Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE for _ in range(m)]
+    signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(m)]
     forms = random_forms(rng, m, n) * 10.0 ** rng.integers(-8, 9, (m, 1, 1))
     if kind == "certified" and n > 1:
         c = cone_with_a_certificate(rng, n, m + 1, float(rng.uniform(1e-9, 2.0)))
@@ -172,18 +170,18 @@ def test_integer_check_agrees_with_fractions(seed, n, m, kind):
             target = -(B @ B.T)
             if kind == "near_singular":
                 target -= float(rng.choice([-1.0, 1.0])) * 2.0**-40 * np.eye(n)
-            partial = sum(t * s.sign * P for t, s, P in zip(tau[:-1], senses, forms))
+            partial = sum(t * s * P for t, s, P in zip(tau[:-1], signs, forms))
             tau[-1] = 1.0
-            senses[-1] = Sense.STRICT_POSITIVE
+            signs[-1] = 1.0
             forms[-1] = target - partial
         elif kind == "sparse":
             forms[:, rng.random((n, n)) < 0.5] = 0.0
-        c = cone(0.5 * (forms + forms.transpose(0, 2, 1)), senses)
+        c = cone(0.5 * (forms + forms.transpose(0, 2, 1)), signs)
     assert exactly_negative_definite(tau, c) == fraction_negative_definite(tau, c)
 
 
 def test_integer_check_on_zero_weights_and_forms():
-    c = cone([np.zeros((3, 3)), -np.eye(3)], [Sense.STRICT_POSITIVE, Sense.STRICT_POSITIVE])
+    c = cone([np.zeros((3, 3)), -np.eye(3)], [1.0, 1.0])
     for tau in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0**-1074, 0.0], [0.0, 2.0**-1074]):
         tau = np.array(tau)
         assert exactly_negative_definite(tau, c) == fraction_negative_definite(tau, c)

@@ -3,14 +3,13 @@ import pytest
 
 from saist import (
     ConeSystem,
-    QuadConstraint,
-    Sense,
     discretize,
     sigma_cone,
     subspace_contained,
     trace,
 )
 from saist.errors import ConfigError, RankDeficientBasis
+from saist.petc import SYM_TOL
 
 from test_petc import system_2d
 
@@ -22,9 +21,9 @@ def disc():
 
 def test_constraint_counts(disc):
     # letter k < kbar contributes k atoms, the final letter kbar only kbar-1
-    assert len(sigma_cone(disc, (3,)).constraints) == 3
-    assert len(sigma_cone(disc, (disc.kbar,)).constraints) == disc.kbar - 1
-    assert len(sigma_cone(disc, (2, 5)).constraints) == 2 + 5
+    assert len(sigma_cone(disc, (3,)).signs) == 3
+    assert len(sigma_cone(disc, (disc.kbar,)).signs) == disc.kbar - 1
+    assert len(sigma_cone(disc, (2, 5)).signs) == 2 + 5
 
 
 def test_membership_matches_trace(disc):
@@ -47,11 +46,11 @@ def test_congruence_pullback(disc):
     cone = sigma_cone(disc, w)
     x1 = disc.M[w[0] - 1] @ x
     # last atom of the second letter acts on the propagated state
-    last = cone.constraints[-1]
+    P, sign = cone.mats[-1], cone.signs[-1]
     k2 = w[1]
     if k2 < disc.kbar:
         direct = x1 @ disc.N[k2 - 1] @ x1
-        assert last.margin(x) == pytest.approx(last.sense.sign * direct, rel=1e-9)
+        assert sign * float(x @ P @ x) == pytest.approx(sign * direct, rel=1e-9)
 
 
 def test_word_validation(disc):
@@ -65,7 +64,7 @@ def test_word_validation(disc):
 
 def test_min_margin_and_arrays(disc):
     cone = sigma_cone(disc, (2, 3))
-    mats, signs = cone.arrays()
+    mats, signs = cone.mats, cone.signs
     assert mats.shape == (5, 2, 2)
     x = np.array([1.0, 0.5])
     margins = signs * np.einsum("i,cij,j->c", x, mats, x)
@@ -73,10 +72,7 @@ def test_min_margin_and_arrays(disc):
 
 
 def test_inflate_changes_margins():
-    c = ConeSystem(
-        word=(1,),
-        constraints=(QuadConstraint(-np.eye(2), Sense.STRICT_POSITIVE),),
-    )
+    c = ConeSystem(word=(1,), mats=[-np.eye(2)], signs=[1.0])
     x = np.array([1.0, 0.0])
     assert c.inflate(2.0).min_margin(x) == pytest.approx(1.0)
     assert c.inflate(0.5).min_margin(x) == pytest.approx(-0.5)
@@ -88,15 +84,14 @@ def test_subspace_contained_matches_sampling():
     for trial in range(30):
         P = rng.standard_normal((3, 3))
         P = 0.5 * (P + P.T)
-        sense = Sense.STRICT_POSITIVE if trial % 2 == 0 else Sense.NON_POSITIVE
-        c = QuadConstraint(P, sense)
+        sign = 1.0 if trial % 2 == 0 else -1.0
         V = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        got = subspace_contained(V, c, tol=1e-10)
+        got = subspace_contained(V, P, sign, tol=1e-10)
         # dense sampling oracle over the subspace's unit circle
         ts = np.linspace(0, np.pi, 721)
         pts = np.cos(ts)[:, None] * V[:, 0] + np.sin(ts)[:, None] * V[:, 1]
         vals = np.einsum("pi,ij,pj->p", pts, P, pts)
-        expected = bool(np.all(vals > 1e-8)) if sense is Sense.STRICT_POSITIVE else bool(
+        expected = bool(np.all(vals > 1e-8)) if sign > 0 else bool(
             np.all(vals <= 1e-8)
         )
         if got != expected:
@@ -107,9 +102,8 @@ def test_subspace_contained_matches_sampling():
 
 
 def test_subspace_rank_deficient():
-    c = QuadConstraint(np.eye(2), Sense.STRICT_POSITIVE)
     with pytest.raises(RankDeficientBasis):
-        subspace_contained(np.zeros((2, 1)), c, tol=0.0)
+        subspace_contained(np.zeros((2, 1)), np.eye(2), 1.0, tol=0.0)
 
 
 def test_prefix_monotonicity(disc):
@@ -121,3 +115,28 @@ def test_prefix_monotonicity(disc):
         w = trace(disc, x, 4)
         for j in (1, 2, 3):
             assert sigma_cone(disc, w[:j]).contains(x)
+
+
+def test_constructor_validates_forms():
+    P = np.array([[1.0, 2.0], [2.0, -1.0]])
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ConfigError):
+        ConeSystem(word=(1,), mats=[P + 1e-6 * skew], signs=[1.0])
+    with pytest.raises(ConfigError):  # one sign for two forms
+        ConeSystem(word=(1,), mats=[P, P], signs=[1.0])
+    with pytest.raises(ConfigError):  # a form that is not square
+        ConeSystem(word=(1,), mats=np.zeros((1, 2, 3)), signs=[1.0])
+    with pytest.raises(ConfigError):  # a lone form, not a stack
+        ConeSystem(word=(1,), mats=P, signs=[1.0])
+    for bad in (0.0, 2.0, 0.5, np.nan):
+        with pytest.raises(ConfigError):
+            ConeSystem(word=(1,), mats=[P], signs=[bad])
+    # asymmetric within SYM_TOL: accepted, and stored as the symmetric part
+    near = P + 0.5 * SYM_TOL * skew
+    c = ConeSystem(word=(1,), mats=[near], signs=[-1.0])
+    assert np.array_equal(c.mats[0], c.mats[0].T)
+    assert np.array_equal(c.mats[0], 0.5 * (near + near.T))
+    assert c.n == 2 and list(c.signs) == [-1.0]
+    # no forms at all: the whole space, with its real dimension
+    free = ConeSystem(word=(), mats=np.empty((0, 3, 3)), signs=[])
+    assert free.n == 3 and free.contains(np.ones(3)) and free.min_margin(np.ones(3)) == np.inf

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from saist import ConeOracle, ConeSystem, QuadConstraint, Sense, Status, discretize
+from saist import ConeOracle, ConeSystem, Status, discretize
 from saist import decider, kernels
 from saist.decider import (
     WITNESS_TOL,
@@ -21,21 +21,18 @@ from test_certificate import cone_containing_a_point, cone_with_a_certificate, r
 from test_oracle import system_3d
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-SENSES = st.sampled_from([Sense.STRICT_POSITIVE, Sense.NON_POSITIVE])
+SIGNS = st.sampled_from([1.0, -1.0])
 
 
-def cone(forms, senses):
-    return ConeSystem(
-        word=(1,), constraints=tuple(QuadConstraint(P, s) for P, s in zip(forms, senses))
-    )
+def cone(forms, signs):
+    return ConeSystem(word=(1,), mats=forms, signs=signs)
 
 
 def scalar_planar(cone):
     """The planar rule before vectorisation: every constraint's roots, sorted,
     then the arc midpoints, each tried in turn with `cone.contains`."""
     roots = []
-    for c in cone.constraints:
-        P = c.P
+    for P in cone.mats:
         a = 0.5 * (P[0, 0] + P[1, 1])
         b = 0.5 * (P[0, 0] - P[1, 1])
         g = P[0, 1]
@@ -77,9 +74,9 @@ def assert_planar_matches(c):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), senses=st.lists(SENSES, min_size=8))
-def test_planar_matches_the_scalar_rule_on_random_cones(seed, m, senses):
-    assert_planar_matches(cone(random_forms(np.random.default_rng(seed), m, 2), senses[:m]))
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), signs=st.lists(SIGNS, min_size=8))
+def test_planar_matches_the_scalar_rule_on_random_cones(seed, m, signs):
+    assert_planar_matches(cone(random_forms(np.random.default_rng(seed), m, 2), signs[:m]))
 
 
 @SETTINGS
@@ -99,10 +96,10 @@ def test_planar_matches_the_scalar_rule_on_nearly_tangent_cones(
     w1, w2 = widths
     c2 = center + w1 + w2 + (-gap if overlap else gap)
     P1, P2 = arc_form(center, w1, scales[0]), arc_form(c2, w2, scales[1])
-    senses = [Sense.STRICT_POSITIVE, Sense.STRICT_POSITIVE]
+    signs = [1.0, 1.0]
     if flip:
-        P2, senses[1] = -P2, Sense.NON_POSITIVE
-    c = cone([P1, P2], senses)
+        P2, signs[1] = -P2, -1.0
+    c = cone([P1, P2], signs)
     assert_planar_matches(c)
     assert decide_planar(c)[0] == ("sat" if overlap else "unsat")
 
@@ -110,7 +107,7 @@ def test_planar_matches_the_scalar_rule_on_nearly_tangent_cones(
 def test_planar_witness_has_the_largest_worst_margin():
     # the cone x0^2 > x1^2 contains the whole arc |t| < pi/4; the first
     # candidate is its boundary root, the best one its midpoint t = 0
-    reply, x = decide_planar(cone([np.diag([1.0, -1.0])], [Sense.STRICT_POSITIVE]))
+    reply, x = decide_planar(cone([np.diag([1.0, -1.0])], [1.0]))
     assert reply == "sat"
     np.testing.assert_allclose(np.abs(x), [1.0, 0.0], atol=1e-12)
 
@@ -126,9 +123,9 @@ def assert_compatible(c, reply, x, reference):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), senses=st.lists(SENSES, min_size=8))
-def test_curves_match_bnb_on_random_cones(seed, m, senses):
-    c = cone(random_forms(np.random.default_rng(seed), m, 3), senses[:m])
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), signs=st.lists(SIGNS, min_size=8))
+def test_curves_match_bnb_on_random_cones(seed, m, signs):
+    c = cone(random_forms(np.random.default_rng(seed), m, 3), signs[:m])
     reply, x = decide_sphere_curves(c)
     reference = bnb(c)
     assert_compatible(c, reply, x, reference)
@@ -165,13 +162,13 @@ def test_curves_match_bnb_on_nearly_tangent_cones(seed, m, shift, inward):
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
     forms = random_forms(rng, m, 3)
-    senses = []
+    signs = []
     for P in forms:
         P -= (x @ P @ x) * np.eye(3)
-        sense = Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE
-        P += (shift if inward else -shift) * sense.sign * np.eye(3)
-        senses.append(sense)
-    c = cone(forms, senses)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        P += (shift if inward else -shift) * sign * np.eye(3)
+        signs.append(sign)
+    c = cone(forms, signs)
     reply, x = decide_sphere_curves(c)
     reference = bnb(c)
     assert_compatible(c, reply, x, reference)
@@ -184,7 +181,7 @@ def test_curves_step_inside_a_thin_cone():
     # the oval clears the witness margin, a step inside does
     Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
     P = Q @ np.diag([1.0, -1e6, -1e6]) @ Q.T
-    c = cone([P], [Sense.STRICT_POSITIVE])
+    c = cone([P], [1.0])
     reply, x = decide_sphere_curves(c)
     assert reply == "sat" and c.min_margin(x) > WITNESS_TOL
 
@@ -197,11 +194,11 @@ def test_singular_form_falls_back_to_bnb(monkeypatch):
         return decide_sphere_bnb(cone, **kwargs)
 
     monkeypatch.setattr(decider, "decide_sphere_bnb", recording)
-    c = cone([np.diag([1.0, -1.0, 0.0])], [Sense.STRICT_POSITIVE])
+    c = cone([np.diag([1.0, -1.0, 0.0])], [1.0])
     reply, x = BuiltinDecider().check(c)
     assert calls == [c] and reply == "sat" and c.contains(x)
     calls.clear()
-    BuiltinDecider().check(cone([np.diag([1.0, -1.0, 0.5])], [Sense.STRICT_POSITIVE]))
+    BuiltinDecider().check(cone([np.diag([1.0, -1.0, 0.5])], [1.0]))
     assert calls == []
 
 
@@ -213,7 +210,7 @@ def test_3d_oracle_query_runs_no_ascent(monkeypatch):
     oracle = ConeOracle(discretize(system_3d()))
     # a cone too thin for the pool, which no certificate can empty
     Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((3, 3)))
-    thin = cone([Q @ np.diag([1.0, -1e6, -1e6]) @ Q.T], [Sense.STRICT_POSITIVE])
+    thin = cone([Q @ np.diag([1.0, -1e6, -1e6]) @ Q.T], [1.0])
     v = oracle.feasible(thin)
     assert v.status is Status.FEASIBLE and thin.contains(v.witness)
     assert oracle.stats["engine_calls"] == 1 and oracle.stats["sampling_hits"] == 0

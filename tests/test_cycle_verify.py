@@ -5,8 +5,6 @@ from saist import (
     ConeOracle,
     ConeSystem,
     PetcSystem,
-    QuadConstraint,
-    Sense,
     Status,
     basic_invariant_subspaces,
     cycle_matrix,
@@ -176,10 +174,7 @@ def test_homogeneity_of_verdict(disc04):
 
 
 def test_normalized_distance_trivial():
-    cone = ConeSystem(
-        word=(1,),
-        constraints=(QuadConstraint(np.diag([1.0, -1.0]), Sense.STRICT_POSITIVE),),
-    )
+    cone = ConeSystem(word=(1,), mats=[np.diag([1.0, -1.0])], signs=[1.0])
     e1 = np.array([[1.0], [0.0]])
     d = normalized_distance(e1, cone, budget=4000, seed=0)
     assert 0.0 < d < 1.0  # e1 is interior, boundary at 45 degrees: d = 1-cos(45)
@@ -190,7 +185,7 @@ def test_normalized_distance_trivial():
 
 
 def test_normalized_distance_no_boundary():
-    cone = ConeSystem(word=(1,), constraints=())
+    cone = ConeSystem(word=(1,), mats=np.empty((0, 2, 2)), signs=[])
     assert normalized_distance(np.eye(2)[:, :1], cone) == 1.0
 
 
@@ -207,19 +202,14 @@ def test_regularity(disc05):
 
 def test_marginal_fixture():
     # construct a cone whose boundary contains the dominant eigenvector e1
-    cone = ConeSystem(
-        word=(1,),
-        constraints=(QuadConstraint(np.array([[0.0, 0.5], [0.5, 0.0]]), Sense.STRICT_POSITIVE),),
-    )
+    cone = ConeSystem(word=(1,), mats=[np.array([[0.0, 0.5], [0.5, 0.0]])], signs=[1.0])
     d = normalized_distance(np.array([[1.0], [0.0]]), cone, budget=4000, seed=3)
     assert d == pytest.approx(0.0, abs=0.02)
 
 
 def test_epsilon_inflation(disc05):
     oracle = ConeOracle(disc05)
-    c = ConeSystem(
-        word=(1,), constraints=(QuadConstraint(-np.eye(2), Sense.STRICT_POSITIVE),)
-    )
+    c = ConeSystem(word=(1,), mats=[-np.eye(2)], signs=[1.0])
     assert epsilon_inflation_empty(c, 0.5, oracle)
     assert not epsilon_inflation_empty(c, 2.0, oracle)
 

@@ -63,9 +63,10 @@ def test_parse_config_errors():
 
 
 def test_parse_config_ignores_unknown_keys():
-    cfg = parse_config(config_json(budget=5, workers=2, oracle="sampling"))
+    cfg = parse_config(config_json(budget=5, workers=2, oracle="sampling", solver_path="z3"))
     assert not hasattr(cfg, "budget")
     assert not hasattr(cfg, "oracle")
+    assert not hasattr(cfg, "solver_path")
 
 
 def test_compute_saist_verified_small():
@@ -152,6 +153,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as usage:
         cli_main(["analyze", str(path), "--oracle", "hybrid"])
     assert usage.value.code == 2  # argparse usage error
+    with pytest.raises(SystemExit) as usage:
+        cli_main(["analyze", str(path), "--solver-path", "z3"])
+    assert usage.value.code == 2  # the flag is gone
 
 
 def test_cli_report_and_dot(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from saist import build_l_complete, discretize, kernels, refine_sac, sigma_cone
-from saist.cones import cone_step
+from saist.cones import letter_forms
 from saist.oracle import CHUNK_FORMS, ConeOracle, _worst
 
 from test_oracle import system_3d
@@ -26,10 +26,8 @@ def disc_of(name):
 
 
 def same(a, b):
-    """Constraint sequences with bitwise equal forms and equal senses."""
-    return len(a) == len(b) and all(
-        c.sense is d.sense and np.array_equal(c.P, d.P) for c, d in zip(a, b)
-    )
+    """(mats, signs) stacks with bitwise equal forms and equal signs."""
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 words = st.lists(st.integers(1, 20), min_size=1, max_size=12).map(tuple)
@@ -41,17 +39,17 @@ def test_step_extends_the_parent_cone(name, word):
     disc = disc_of(name)
     cone = sigma_cone(disc, word)
     if len(word) > 1:
-        parent = sigma_cone(disc, word[:-1]).constraints
-        assert same(cone.constraints[: len(parent)], parent)
-    for c in cone.constraints:
-        assert np.array_equal(c.P, c.P.T)
+        parent = sigma_cone(disc, word[:-1])
+        c = len(parent.signs)
+        assert same((cone.mats[:c], cone.signs[:c]), (parent.mats, parent.signs))
+    assert np.array_equal(cone.mats, cone.mats.transpose(0, 2, 1))
     # the letter's own forms, pulled back by the identity, are the N(m) themselves
     k = word[-1]
-    _, own = cone_step(disc, np.eye(disc.n), (), k)
+    _, own, _, _ = letter_forms(disc, np.eye(disc.n)[None], [k])
     forms = list(range(1, k + 1 if k < disc.kbar else k))
     assert len(own) == len(forms)
-    for c, m in zip(own, forms):
-        assert np.array_equal(c.P, disc.N[m - 1])
+    for P, m in zip(own, forms):
+        assert np.array_equal(P, disc.N[m - 1])
 
 
 def sigma_cone_phi(disc, word):
@@ -63,10 +61,9 @@ def sigma_cone_phi(disc, word):
 
 def assert_scratch(disc, oracle, word, memo):
     """The kept cone of `word` is bitwise the one built from scratch."""
-    mats, signs = sigma_cone(disc, word).arrays()
-    assert same(memo.cone.constraints, sigma_cone(disc, word).constraints)
-    mats = mats.reshape(-1, disc.n, disc.n)  # `stack` of no constraints is flat
-    assert np.array_equal(memo.mats, mats) and np.array_equal(memo.signs, signs)
+    scratch = sigma_cone(disc, word)
+    mats, signs = scratch.mats, scratch.signs
+    assert same((memo.cone.mats, memo.cone.signs), (mats, signs))
     assert np.array_equal(memo.phi, sigma_cone_phi(disc, word))
     if len(signs):
         full = kernels.margins(oracle.pool, mats, signs).min(axis=1)
@@ -118,7 +115,8 @@ def test_batched_cones_are_bitwise_scratch(name, parents, letters, kept):
         assert_scratch(disc, oracle, w, memo)
         starts = oracle.witnesses(w[:-1])
         if starts and w not in was_kept:  # scored as for a cone the oracle did not build
-            want = _worst(np.vstack(starts), *sigma_cone(disc, w).arrays())
+            scratch = sigma_cone(disc, w)
+            want = _worst(np.vstack(starts), scratch.mats, scratch.signs)
             assert np.array_equal(memo.start_worst, want)
     assert set(batch) <= set(oracle._memo)
 

@@ -5,8 +5,6 @@ from saist import (
     ConeOracle,
     ConeSystem,
     PetcSystem,
-    QuadConstraint,
-    Sense,
     Status,
     build_l_complete,
     discretize,
@@ -16,6 +14,7 @@ from saist import (
 from saist import kernels
 from saist.cones import sigma_cone
 from saist.decider import decide_planar, decide_sphere_bnb
+from saist.oracle import Method
 
 from test_petc import system_2d
 
@@ -33,24 +32,28 @@ class NoEngine:
         raise AssertionError("engine called")
 
 
-class GiveUpEngine:
-    """An exact engine that answers unknown, as a solver timeout does."""
+class ScriptedEngine:
+    """An in-process engine with one fixed reply, counting its calls;
+    'unknown' is what an exhausted search budget answers."""
+
+    def __init__(self, reply, witness=None):
+        self.reply, self.witness, self.calls = reply, witness, 0
 
     def check(self, cone):
-        return "unknown", None
+        self.calls += 1
+        return self.reply, self.witness
 
 
-def cone_of(mats_senses):
+def cone_of(mats_signs, word=(1,)):
     return ConeSystem(
-        word=(1,),
-        constraints=tuple(QuadConstraint(P, s) for P, s in mats_senses),
+        word=word, mats=[P for P, _ in mats_signs], signs=[s for _, s in mats_signs]
     )
 
 
 def test_planar_decider_exact_cases():
-    sat, x = decide_planar(cone_of([(np.diag([1.0, -1.0]), Sense.STRICT_POSITIVE)]))
+    sat, x = decide_planar(cone_of([(np.diag([1.0, -1.0]), 1.0)]))
     assert sat == "sat" and abs(x[0]) > abs(x[1])
-    unsat, _ = decide_planar(cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)]))
+    unsat, _ = decide_planar(cone_of([(-np.eye(2), 1.0)]))
     assert unsat == "unsat"
     # thin wedge: two rotated half-plane pairs with a narrow intersection
     t = 0.01
@@ -59,7 +62,7 @@ def test_planar_decider_exact_cases():
     P1 = np.diag([1.0, -1.0])
     P2 = R @ P1 @ R.T
     sat2, w = decide_planar(
-        cone_of([(P1, Sense.STRICT_POSITIVE), (-P2, Sense.NON_POSITIVE)])
+        cone_of([(P1, 1.0), (-P2, -1.0)])
     )
     assert sat2 == "sat"
 
@@ -73,14 +76,14 @@ def test_planar_decider_agrees_with_dense_sampling():
         for _ in range(rng.integers(1, 4)):
             P = rng.standard_normal((2, 2))
             P = 0.5 * (P + P.T)
-            sense = Sense.STRICT_POSITIVE if rng.random() < 0.5 else Sense.NON_POSITIVE
-            cons.append((P, sense))
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            cons.append((P, sign))
         cone = cone_of(cons)
         reply, x = decide_planar(cone)
         vals = np.ones(len(pts), dtype=bool)
-        for P, sense in cons:
+        for P, sign in cons:
             q = np.einsum("pi,ij,pj->p", pts, P, pts)
-            vals &= (q > 1e-9) if sense is Sense.STRICT_POSITIVE else (q <= 0)
+            vals &= (q > 1e-9) if sign > 0 else (q <= 0)
         sampled = bool(vals.any())
         if reply == "sat":
             # the decider may find measure-zero arcs that sampling misses,
@@ -92,17 +95,11 @@ def test_planar_decider_agrees_with_dense_sampling():
 
 def test_bnb_3d():
     reply, x = decide_sphere_bnb(
-        ConeSystem(
-            word=(1,),
-            constraints=(QuadConstraint(np.diag([1.0, 1.0, -3.0]), Sense.STRICT_POSITIVE),),
-        )
+        ConeSystem(word=(1,), mats=[np.diag([1.0, 1.0, -3.0])], signs=[1.0])
     )
     assert reply == "sat"
     reply2, _ = decide_sphere_bnb(
-        ConeSystem(
-            word=(1,),
-            constraints=(QuadConstraint(-np.eye(3), Sense.STRICT_POSITIVE),),
-        )
+        ConeSystem(word=(1,), mats=[-np.eye(3)], signs=[1.0])
     )
     assert reply2 == "unsat"
 
@@ -110,10 +107,7 @@ def test_bnb_3d():
 def test_bnb_budget_unknown():
     # a barely-empty cone forces exhaustive subdivision; tiny budget -> unknown
     reply, _ = decide_sphere_bnb(
-        ConeSystem(
-            word=(1,),
-            constraints=(QuadConstraint(-1e-15 * np.eye(3), Sense.STRICT_POSITIVE),),
-        ),
+        ConeSystem(word=(1,), mats=[-1e-15 * np.eye(3)], signs=[1.0]),
         max_regions=10,
     )
     assert reply == "unknown"
@@ -138,7 +132,7 @@ def test_oracle_feasible_words_have_witnesses(disc):
 
 def test_oracle_exact_infeasible(disc):
     oracle = ConeOracle(disc)
-    empty = cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)])
+    empty = cone_of([(-np.eye(2), 1.0)])
     v = oracle.feasible(empty)
     assert v.status is Status.INFEASIBLE
     # cached now; a second query must not call the engine again
@@ -148,7 +142,7 @@ def test_oracle_exact_infeasible(disc):
 
 
 def test_engine_unknown_is_cached_and_kept(disc):
-    oracle = ConeOracle(disc, engine=GiveUpEngine())
+    oracle = ConeOracle(disc, engine=ScriptedEngine("unknown"))
     # (1,) misses the pool, so the engine is asked and gives up
     v = oracle.feasible_word((1,))
     assert v.status is Status.UNKNOWN and v.maybe_feasible
@@ -174,9 +168,9 @@ def test_verdict_determinism(disc):
 
 def test_oracle_certifies_empty_3d_cone_without_engine():
     oracle = ConeOracle(discretize(system_3d()), engine=NoEngine())
-    empty = cone_of([(np.diag([1.0, -1.0, -1.0]), Sense.STRICT_POSITIVE),
-                     (np.diag([-1.0, 1.0, -2.0]), Sense.STRICT_POSITIVE),
-                     (np.diag([0.5, 0.5, 3.0]), Sense.NON_POSITIVE)])
+    empty = cone_of([(np.diag([1.0, -1.0, -1.0]), 1.0),
+                     (np.diag([-1.0, 1.0, -2.0]), 1.0),
+                     (np.diag([0.5, 0.5, 3.0]), -1.0)])
     v = oracle.feasible(empty)
     assert v.status is Status.INFEASIBLE
     assert oracle.stats["engine_calls"] == 0 and oracle.stats["certified"] == 1
@@ -188,6 +182,43 @@ def test_exact_2d_query_skips_the_ascent(disc, monkeypatch):
 
     monkeypatch.setattr(kernels, "min_margin_ascent", no_ascent)
     oracle = ConeOracle(disc)
-    v = oracle.feasible(cone_of([(-np.eye(2), Sense.STRICT_POSITIVE)]))
+    v = oracle.feasible(cone_of([(-np.eye(2), 1.0)]))
     assert v.status is Status.INFEASIBLE
     assert oracle.stats["engine_calls"] == 1 and oracle.stats["certified"] == 0
+
+
+def test_engine_sat_is_normalised_cached_and_kept(disc):
+    engine = ScriptedEngine("sat", [3.0, -4.0])
+    oracle = ConeOracle(disc, engine=engine)
+    # (1,) misses the pool, so the engine is asked
+    v = oracle.feasible_word((1,))
+    assert v.status is Status.FEASIBLE and v.method is Method.ENGINE
+    np.testing.assert_array_equal(v.witness, [0.6, -0.8])
+    assert oracle.feasible_word((1,)) is v and engine.calls == 1
+    np.testing.assert_array_equal(oracle.witnesses((1,)), [v.witness])
+    assert (1,) in build_l_complete(disc, oracle, 1).states
+
+
+def test_engine_unsat_is_cached_and_dropped(disc):
+    engine = ScriptedEngine("unsat")
+    oracle = ConeOracle(disc, engine=engine)
+    v = oracle.feasible_word((1,))
+    assert v.status is Status.INFEASIBLE and v.witness is None and v.method is Method.ENGINE
+    assert oracle.feasible_word((1,)) is v and engine.calls == 1
+    assert oracle.known_infeasible((1,)) and not oracle.witnesses((1,))
+    assert (1,) not in build_l_complete(disc, oracle, 1).states
+
+
+def test_pool_point_wins_a_tie_with_a_witness(disc):
+    def sampled(pool_point, witness):
+        oracle = ConeOracle(disc, engine=NoEngine())
+        oracle.pool = np.array([pool_point])
+        oracle._record_witness((1,), np.array(witness))
+        v = oracle.feasible(cone_of([(np.diag([1.0, -1.0]), 1.0)], word=(1, 1)))
+        assert v.method is Method.SAMPLING
+        return v.witness
+
+    # x and -x have bitwise equal margins: the pool point, first, wins the tie
+    np.testing.assert_array_equal(sampled([1.0, 0.0], [-1.0, 0.0]), [1.0, 0.0])
+    # a witness with a strictly larger worst margin (1 > 0.75) is returned
+    np.testing.assert_array_equal(sampled([1.0, 0.5], [-1.0, 0.0]), [-1.0, 0.0])
