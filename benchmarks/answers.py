@@ -1,13 +1,19 @@
-"""Print one digest of saist's answer per benchmark system.
+"""Print two digests of saist's answer per benchmark system.
 
     PYTHONPATH=src python3 benchmarks/answers.py [--criterion3]
 
-Each line is a system's name and the SHA-256 of its report: the JSON of
-`to_json_dict(include_timing=False)`, which holds every iteration's oracle
-counters, plus the abstraction's DOT text and the verified power.  The
-systems are the eight of `perfbench/workloads.py`; `--criterion3` adds the
-3-D sigma = 0.8, 0.5 and 0.4 targeted runs of acceptance criterion 3.  Two
-checkouts give the same answers when their outputs `diff` clean.
+Each line is a system's name, the SHA-256 of its answer and the SHA-256 of
+its counters.  The answer is the JSON of `to_json_dict(include_timing=False)`
+with every iteration's `oracle` block left out, plus the abstraction's DOT
+text and the verified power; the counters are those `oracle` blocks, in
+order.  The systems are the eight of `perfbench/workloads.py`;
+`--criterion3` adds the 3-D sigma = 0.8, 0.5 and 0.4 targeted runs of
+acceptance criterion 3.  Two checkouts give the same answers when the first
+two columns of their outputs `diff` clean, e.g.
+
+    diff <(cut -d' ' -f1,2 old.txt) <(cut -d' ' -f1,2 new.txt)
+
+and the same counters when the whole lines do.
 """
 
 import argparse
@@ -24,14 +30,16 @@ from workloads import PLANT_3D, WORKLOADS, system  # noqa: E402
 import saist  # noqa: E402
 
 
-def digest(report):
-    """SHA-256 of the report without timings, its DOT text and its power."""
-    blob = {
-        "report": report.to_json_dict(include_timing=False),
-        "dot": report.dot,
-        "power": report.power,
-    }
+def sha(blob):
     return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+def digests(report):
+    """(answer, counters): the report without timings or oracle blocks, its
+    DOT text and its power; then the oracle blocks."""
+    answer = report.to_json_dict(include_timing=False)
+    counters = [it.pop("oracle") for it in answer["iterations"]]
+    return sha({"report": answer, "dot": report.dot, "power": report.power}), sha(counters)
 
 
 def systems(criterion3):
@@ -48,7 +56,7 @@ def main():
     args = ap.parse_args()
     for spec in systems(args.criterion3):
         report = saist.compute_saist(saist.parse_config(spec["config"]))
-        print(spec["name"], digest(report), flush=True)
+        print(spec["name"], *digests(report), flush=True)
 
 
 if __name__ == "__main__":

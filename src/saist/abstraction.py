@@ -30,9 +30,8 @@ class TrafficAbstraction:
     def as_weighted_graph(self) -> WeightedGraph:
         """Simple-WTS form: every edge out of u weighs output(u)."""
         idx = {w: i for i, w in enumerate(self.states)}
-        edges = tuple(
-            (idx[u], idx[v], Fraction(self.output(u))) for u, v in self.transitions
-        )
+        weight = {w: Fraction(self.output(w)) for w in self.states}
+        edges = tuple((idx[u], idx[v], weight[u]) for u, v in self.transitions)
         return WeightedGraph(labels=self.states, edges=edges)
 
     def to_dot(self) -> str:

@@ -1,0 +1,217 @@
+"""2-D IST words decided on arcs of the projective circle.
+
+In 2-D a state is a direction, an angle t in [0, pi).  The directions that
+fire at k, R(k), are a finite union of arcs: on the circle every form is
+a + r cos(2t - p), so each of N(m) <= 0 (m < k) and N(k) > 0 (absent for
+k = kbar) holds on one arc.  A nonsingular M(k) maps arcs to arcs, so the
+states of the word k·s are
+
+    R(k·s) = R(k) ∩ M(k)^-1 R(s),
+
+one pull-back of a few endpoints and one intersection away from the
+suffix's set.  Sets are kept closed: a strict form's boundary stays in,
+and two arcs that miss each other by at most ARC_SLACK radians still meet
+in a point.  So a word is dropped only when its set is empty by more than
+rounding, and the abstraction keeps every feasible word.
+
+An arc set is a tuple of (lo, hi) pairs, sorted by lo, disjoint, with
+0 <= lo < pi and lo <= hi <= lo + pi; hi may run past pi, over the wrap.
+"""
+
+import math
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+PI = math.pi
+ARC_SLACK = 1e-9  # radians by which two arcs may miss each other and still meet
+DET_FLOOR = 1e-3  # |det M(k)| / ||M(k)||_F^2 above which the pull-back is well conditioned
+FULL = ((0.0, PI),)
+
+
+def decidable_on_arcs(disc) -> bool:
+    """Whether the plant is planar with every M(k) clearly nonsingular."""
+    if disc.n != 2:
+        return False
+    det = np.abs(np.linalg.det(disc.M))
+    return bool((det > DET_FLOOR * np.einsum("kij,kij->k", disc.M, disc.M)).all())
+
+
+def _mod_pi(t):
+    """t reduced to [0, pi)."""
+    t %= PI
+    return 0.0 if t >= PI else t
+
+
+def form_arc(P, sign):
+    """The closed arc where sign * x'Px >= 0, as an arc set."""
+    a = sign * 0.5 * (P[0][0] + P[1][1])
+    b = sign * 0.5 * (P[0][0] - P[1][1])
+    g = sign * P[0][1]
+    r = math.hypot(b, g)
+    if r <= 1e-300:  # a constant form
+        return FULL if a >= 0.0 else ()
+    u = -a / r  # the arc is cos(2t - p) >= u
+    if u <= -1.0:
+        return FULL
+    if u > 1.0:
+        return ()
+    p, c = math.atan2(g, b), math.acos(u)
+    lo = _mod_pi(0.5 * (p - c))
+    return ((lo, lo + c),)
+
+
+def normalized(pieces):
+    """The arc set covered by (lo, hi) pieces of length at most pi."""
+    pieces = sorted((lo - PI, hi - PI) if lo >= PI else (lo, hi) for lo, hi in pieces)
+    out = []
+    for lo, hi in pieces:
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    while len(out) > 1 and out[-1][1] >= out[0][0] + PI:  # the last runs over the wrap
+        lo, hi = out.pop()
+        out[0] = (lo, max(hi, out[0][1] + PI))
+        out.append(out.pop(0))
+    if any(hi - lo >= PI for lo, hi in out):
+        return FULL
+    return tuple(out)
+
+
+def intersect(A, B):
+    """A ∩ B; arcs that miss each other by at most ARC_SLACK meet in a point."""
+    pieces = []
+    for lo1, hi1 in A:
+        for lo2, hi2 in B:
+            for shift in (-PI, 0.0, PI):
+                lo, hi = max(lo1, lo2 + shift), min(hi1, hi2 + shift)
+                if hi >= lo - ARC_SLACK:
+                    pieces.append((lo, max(lo, hi)))
+    return normalized(pieces)
+
+
+def pull_back(arcs, inv, flip):
+    """M^-1 arcs, the directions that M maps into `arcs`, given M^-1 as the
+    flat (a, b, c, d) and whether det M < 0, which reverses orientation.
+
+    Each arc's endpoint vectors go through M^-1; the image runs
+    counterclockwise from the first to the second, or the other way round
+    when flipped, through an angle in [0, pi] read off their cross and dot
+    products.
+    """
+    a, b, c, d = inv
+    pieces = []
+    for lo, hi in arcs:
+        x0, y0, x1, y1 = math.cos(lo), math.sin(lo), math.cos(hi), math.sin(hi)
+        u0, u1 = a * x0 + b * y0, c * x0 + d * y0
+        v0, v1 = a * x1 + b * y1, c * x1 + d * y1
+        if flip:
+            u0, u1, v0, v1 = v0, v1, u0, u1
+        width = math.atan2(u0 * v1 - u1 * v0, u0 * v0 + u1 * v1)
+        if width < 0.0:  # rounding at a point arc or a full turn
+            width = 0.0 if width > -0.5 * PI else PI
+        lo = _mod_pi(math.atan2(u1, u0))
+        pieces.append((lo, lo + width))
+    return normalized(pieces)
+
+
+def letter_arcs(N, k, kbar):
+    """R(k): where N(m) <= 0 for every m < k and, for k < kbar, N(k) > 0,
+    closed."""
+    arcs = FULL
+    for m in range(1, k):
+        arcs = intersect(arcs, form_arc(N[m - 1], -1.0))
+    if k < kbar:
+        arcs = intersect(arcs, form_arc(N[k - 1], 1.0))
+    return arcs
+
+
+def widest_midpoint(arcs):
+    """The unit direction at the midpoint of the widest arc, first if tied."""
+    lo, hi = max(arcs, key=lambda arc: arc[1] - arc[0])
+    t = 0.5 * (lo + hi)
+    return np.array([math.cos(t), math.sin(t)])
+
+
+class ArcVerdict(NamedTuple):
+    """A word's verdict: feasible with a witness direction, or infeasible.
+    Never Unknown."""
+
+    witness: Optional[np.ndarray]
+
+    @property
+    def is_feasible(self):
+        return self.witness is not None
+
+    maybe_feasible = is_feasible
+
+
+class ArcOracle:
+    """Decides the IST words of a planar plant with every M(k) nonsingular.
+
+    A word's set is R(k·s) = R(k) ∩ M(k)^-1 R(s), from its suffix's set,
+    which is the kept set of a word of the previous level in a full build
+    and is built the same way, recursively, when missing.  The sets kept
+    are those of the words passed to the last `retain`, plus those decided
+    since.  Every verdict is cached.  `stats` keeps ConeOracle's counters,
+    all 0 since no cone is decided, and counts the words decided on arcs
+    in `arc_words`.
+    """
+
+    def __init__(self, disc):
+        if not decidable_on_arcs(disc):
+            raise ValueError("arcs need a planar plant with every M(k) clearly nonsingular")
+        self.disc = disc
+        self._inv = [tuple(m.ravel().tolist()) for m in np.linalg.inv(disc.M)]
+        self._flip = (np.linalg.det(disc.M) < 0.0).tolist()
+        N = disc.N.tolist()
+        self._letters = [letter_arcs(N, k, disc.kbar) for k in self.alphabet]
+        self._sets = {}
+        self._verdicts = {}
+        self.stats = {
+            "sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0, "arc_words": 0
+        }
+
+    @property
+    def alphabet(self):
+        return range(1, self.disc.kbar + 1)
+
+    def _arcs(self, word):
+        """The word's arc set, from its suffix's.  A newly decided word's
+        verdict is cached, and a nonempty set kept until the next `retain`."""
+        if self.known_infeasible(word):
+            return ()
+        arcs = self._sets.get(word)
+        if arcs is None:
+            k, suffix = word[0], word[1:]
+            arcs = self._letters[k - 1]
+            if suffix and arcs:
+                pulled = pull_back(self._arcs(suffix), self._inv[k - 1], self._flip[k - 1])
+                arcs = intersect(arcs, pulled)
+            if arcs:
+                self._sets[word] = arcs
+            if word not in self._verdicts:
+                self.stats["arc_words"] += 1
+                self._verdicts[word] = ArcVerdict(widest_midpoint(arcs) if arcs else None)
+        return arcs
+
+    def feasible_word(self, word) -> ArcVerdict:
+        word = tuple(map(int, word))
+        if word not in self._verdicts:
+            if not word or min(word) < 1 or max(word) > self.disc.kbar:
+                raise ValueError(f"word must be nonempty over 1..{self.disc.kbar}")
+            self._arcs(word)
+        return self._verdicts[word]
+
+    def feasible_words(self, words) -> list:
+        return [self.feasible_word(w) for w in words]
+
+    def known_infeasible(self, word):
+        """Whether the word is already decided empty."""
+        v = self._verdicts.get(tuple(word))
+        return v is not None and not v.maybe_feasible
+
+    def retain(self, words):
+        """Forget the sets of every word not in `words`."""
+        self._sets = {w: self._sets[w] for w in set(words) if w in self._sets}

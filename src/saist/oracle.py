@@ -78,6 +78,11 @@ def _unit_pool(n, size, seed):
 class ConeOracle:
     """Decides sigma-cone nonemptiness for one discretized PETC system.
 
+    `compute_saist` uses it for n >= 3 and for a planar plant with a
+    near-singular M(k); other planar plants go to
+    :class:`saist.arcs.ArcOracle`.  Explicit cones, such as those of
+    `epsilon_inflation_empty`, always come here.
+
     A cone has one path to its verdict: the point pool, then for n >= 3 an
     emptiness certificate, then for n >= 4 a witness ascent, then the
     engine.  The first verdict for a word, Unknown included, is cached and

@@ -6,6 +6,7 @@ internally so Karp's recurrence runs on int64 arrays.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -21,7 +22,8 @@ class WeightedGraph:
 
     For simple weighted transition systems the weight of every outgoing edge
     of u equals the output of u; that convention is produced by callers, not
-    enforced here.
+    enforced here.  The integer weights and the SCCs are computed once per
+    graph, on first use.
     """
 
     labels: tuple
@@ -39,7 +41,7 @@ class WeightedGraph:
         object.__setattr__(
             self,
             "edges",
-            tuple((u, v, Fraction(w)) for u, v, w in self.edges),
+            tuple((u, v, w if type(w) is Fraction else Fraction(w)) for u, v, w in self.edges),
         )
 
     @property
@@ -51,6 +53,18 @@ class WeightedGraph:
         for u, v, _ in self.edges:
             adj[u].append(v)
         return adj
+
+    @cached_property
+    def int_weights(self):
+        """(ints, den): the edge weights as integers over their least common
+        denominator."""
+        den = lcm(*{w.denominator for _, _, w in self.edges}) if self.edges else 1
+        return [w.numerator * (den // w.denominator) for _, _, w in self.edges], den
+
+    @cached_property
+    def sccs(self):
+        """The strongly connected components, in reverse topological order."""
+        return tarjan_scc(self.n, self.successors())
 
     def negated(self):
         return WeightedGraph(self.labels, tuple((u, v, -w) for u, v, w in self.edges))
@@ -121,12 +135,6 @@ def tarjan_scc(n, adj):
                         break
                 comps.append(comp)
     return comps
-
-
-def _int_weights(graph):
-    den = lcm(*[w.denominator for _, _, w in graph.edges]) if graph.edges else 1
-    ints = [int(w * den) for _, _, w in graph.edges]
-    return ints, den
 
 
 def _karp_component(comp, edges, weights):
@@ -258,11 +266,9 @@ def min_mean_cycle(graph: WeightedGraph) -> CycleResult:
 def min_mean_cycles(graph: WeightedGraph, max_cycles=32):
     """All (up to max_cycles) canonical-rotation-distinct minimum mean cycles,
     in label order."""
-    weights_int, den = _int_weights(graph)
-    adj = graph.successors()
-    comps = tarjan_scc(graph.n, adj)
+    weights_int, den = graph.int_weights
     mu = None
-    for comp in comps:
+    for comp in graph.sccs:
         cand = _karp_component(comp, graph.edges, weights_int)
         if cand is not None and (mu is None or cand < mu):
             mu = cand
@@ -286,10 +292,10 @@ def attracting_scc_bound(graph: WeightedGraph) -> Fraction:
     """Smallest maximum cycle mean over attracting SCCs: an upper bound on the
     concrete system's smallest limit average."""
     adj = graph.successors()
-    weights_int, den = _int_weights(graph)
+    weights_int, den = graph.int_weights
     negated = [-w for w in weights_int]
     best = None
-    for comp in tarjan_scc(graph.n, adj):
+    for comp in graph.sccs:
         comp_set = set(comp)
         if any(v not in comp_set for u in comp for v in adj[u]):
             continue  # edges escape: not attracting

@@ -208,6 +208,24 @@ def test_attracting_bound():
     assert attracting_scc_bound(g) == Fraction(3)
 
 
+def test_int_weights_and_sccs_are_computed_once(monkeypatch):
+    g = WeightedGraph(
+        labels=(0, 1, 2),
+        edges=((0, 1, Fraction(1, 3)), (1, 0, 2), (1, 2, Fraction(5, 6)), (2, 2, Fraction(-7, 4))),
+    )
+    ints, den = g.int_weights
+    assert den == 12 and ints == [int(w * den) for _, _, w in g.edges] == [4, 24, 10, -21]
+    calls = []
+    monkeypatch.setattr(
+        "saist.quantgraph.tarjan_scc", lambda n, adj: calls.append(n) or tarjan_scc(n, adj)
+    )
+    min_mean_cycles(g)
+    before = len(calls)
+    attracting_scc_bound(g)
+    assert len(calls) == before  # the SCCs min_mean_cycles found are reused
+    assert g.sccs is g.sccs and g.int_weights is g.int_weights
+
+
 def test_long_tight_cycle_beyond_recursion_limit():
     n = sys.getrecursionlimit() + 500
     g = WeightedGraph(
