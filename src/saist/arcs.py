@@ -3,16 +3,19 @@
 In 2-D a state is a direction, an angle t in [0, pi).  The directions that
 fire at k, R(k), are a finite union of arcs: on the circle every form is
 a + r cos(2t - p), so each of N(m) <= 0 (m < k) and N(k) > 0 (absent for
-k = kbar) holds on one arc.  A nonsingular M(k) maps arcs to arcs, so the
-states of the word k·s are
+k = kbar) holds on one arc.  The states of the word k·s are
 
     R(k·s) = R(k) ∩ M(k)^-1 R(s),
 
 one pull-back of a few endpoints and one intersection away from the
-suffix's set.  Sets are kept closed: a strict form's boundary stays in,
-and two arcs that miss each other by at most ARC_SLACK radians still meet
-in a point.  So a word is dropped only when its set is empty by more than
-rounding, and the abstraction keeps every feasible word.
+suffix's set.  The pull-back maps the endpoints through the adjugate
+adj M(k) = det M(k) · M(k)^-1, which needs no division and points the same
+way up to sign, which the projective circle ignores; so a singular or
+nearly singular M(k) needs no special case (`pull_back`).  Sets are kept
+closed: a strict form's boundary stays in, and two arcs that miss each
+other by at most ARC_SLACK radians still meet in a point.  So a word is
+dropped only when its set is empty by more than rounding, and the
+abstraction keeps every feasible word.
 
 An arc set is a tuple of (lo, hi) pairs, sorted by lo, disjoint, with
 0 <= lo < pi and lo <= hi <= lo + pi; hi may run past pi, over the wrap.
@@ -25,16 +28,8 @@ import numpy as np
 
 PI = math.pi
 ARC_SLACK = 1e-9  # radians by which two arcs may miss each other and still meet
-DET_FLOOR = 1e-3  # |det M(k)| / ||M(k)||_F^2 above which the pull-back is well conditioned
+ROUNDING = 1e-15  # relative error, a few float64 ulps, of an endpoint mapped through adj M
 FULL = ((0.0, PI),)
-
-
-def decidable_on_arcs(disc) -> bool:
-    """Whether the plant is planar with every M(k) clearly nonsingular."""
-    if disc.n != 2:
-        return False
-    det = np.abs(np.linalg.det(disc.M))
-    return bool((det > DET_FLOOR * np.einsum("kij,kij->k", disc.M, disc.M)).all())
 
 
 def _mod_pi(t):
@@ -91,21 +86,31 @@ def intersect(A, B):
     return normalized(pieces)
 
 
-def pull_back(arcs, inv, flip):
-    """M^-1 arcs, the directions that M maps into `arcs`, given M^-1 as the
-    flat (a, b, c, d) and whether det M < 0, which reverses orientation.
+def pull_back(arcs, adj, flip):
+    """M^-1 arcs, the directions that M maps into the closed `arcs`, given
+    adj M as the flat (a, b, c, d) and whether det M < 0, which reverses
+    orientation.
 
-    Each arc's endpoint vectors go through M^-1; the image runs
+    Each arc's endpoint vectors go through adj M; the image runs
     counterclockwise from the first to the second, or the other way round
     when flipped, through an angle in [0, pi] read off their cross and dot
-    products.
+    products.  A rank-1 M, with range u, maps both endpoints onto its
+    kernel: they point opposite ways (FULL) when the arc holds u, and the
+    same way (the kernel point) when it does not.  Rounding can turn the
+    direction of an endpoint that adj M shrinks to under ROUNDING /
+    ARC_SLACK of its norm by more than ARC_SLACK.  Such an endpoint lies
+    near the range of a nearly singular M (on u when its image is zero),
+    and the pull-back is then FULL, which holds every preimage.
     """
-    a, b, c, d = inv
+    a, b, c, d = adj
+    tiny = (ROUNDING / ARC_SLACK) ** 2 * (a * a + b * b + c * c + d * d)
     pieces = []
     for lo, hi in arcs:
         x0, y0, x1, y1 = math.cos(lo), math.sin(lo), math.cos(hi), math.sin(hi)
         u0, u1 = a * x0 + b * y0, c * x0 + d * y0
         v0, v1 = a * x1 + b * y1, c * x1 + d * y1
+        if u0 * u0 + u1 * u1 <= tiny or v0 * v0 + v1 * v1 <= tiny:
+            return FULL
         if flip:
             u0, u1, v0, v1 = v0, v1, u0, u1
         width = math.atan2(u0 * v1 - u1 * v0, u0 * v0 + u1 * v1)
@@ -148,7 +153,7 @@ class ArcVerdict(NamedTuple):
 
 
 class ArcOracle:
-    """Decides the IST words of a planar plant with every M(k) nonsingular.
+    """Decides the IST words of a planar plant.
 
     A word's set is R(k·s) = R(k) ∩ M(k)^-1 R(s), from its suffix's set,
     which is the kept set of a word of the previous level in a full build
@@ -160,11 +165,11 @@ class ArcOracle:
     """
 
     def __init__(self, disc):
-        if not decidable_on_arcs(disc):
-            raise ValueError("arcs need a planar plant with every M(k) clearly nonsingular")
+        if disc.n != 2:
+            raise ValueError("arcs need a planar plant")
         self.disc = disc
-        self._inv = [tuple(m.ravel().tolist()) for m in np.linalg.inv(disc.M)]
-        self._flip = (np.linalg.det(disc.M) < 0.0).tolist()
+        self._adj = [(d, -b, -c, a) for (a, b), (c, d) in disc.M.tolist()]
+        self._flip = [a * d - b * c < 0.0 for (a, b), (c, d) in disc.M.tolist()]
         N = disc.N.tolist()
         self._letters = [letter_arcs(N, k, disc.kbar) for k in self.alphabet]
         self._sets = {}
@@ -187,7 +192,7 @@ class ArcOracle:
             k, suffix = word[0], word[1:]
             arcs = self._letters[k - 1]
             if suffix and arcs:
-                pulled = pull_back(self._arcs(suffix), self._inv[k - 1], self._flip[k - 1])
+                pulled = pull_back(self._arcs(suffix), self._adj[k - 1], self._flip[k - 1])
                 arcs = intersect(arcs, pulled)
             if arcs:
                 self._sets[word] = arcs

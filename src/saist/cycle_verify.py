@@ -190,7 +190,8 @@ def _simulation_confirms(disc, word, sub, repeats=20, seed=0):
 def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyResult:
     """Verified iff some invariant subspace survives the cone chain and the
     float64 simulation gate; falls back to powers of the cycle matrix for
-    rational rotations."""
+    rational rotations.  A numerically singular power ends the search with
+    a warning, so a singular cycle is a failed candidate."""
     word = tuple(int(k) for k in word)
     warnings = []
     for q in range(1, max_power + 1):
@@ -198,8 +199,6 @@ def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyR
         try:
             Mq = cycle_matrix(disc, w_q)
         except SingularCycleMatrix:
-            if q == 1:
-                raise
             warnings.append(f"power {q}: cycle matrix numerically singular")
             break
         try:

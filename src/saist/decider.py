@@ -1,12 +1,12 @@
 """Certified feasibility decisions for conjunctions of homogeneous quadratics.
 
 `BuiltinDecider` is the oracle's engine; it decides every cone in process.
-Dimension 1 is direct evaluation.  Dimensions 2 and 3 share one scheme:
-restrict every form to a parametrised curve, find where each changes sign,
-and evaluate all the roots and arc midpoints in one einsum.  In 2-D the
-curve is the projective circle and the decision is exact
-(`decide_planar`); in 3-D the curves are the zero ovals of the indefinite
-constraints and the sign changes are quartic roots (`decide_sphere_curves`).
+Dimension 1 is direct evaluation.  Dimension 2 intersects the closed arc
+of each form on the projective circle, as `saist.arcs` does for words
+(`decide_planar`).  Dimension 3 restricts every form to the zero ovals of
+the indefinite constraints, finds where each changes sign as quartic roots,
+and evaluates all the roots and arc midpoints in one einsum
+(`decide_sphere_curves`).
 Dimension >= 4, and a 3-D form with a numerically zero eigenvalue, go to a
 Lipschitz branch-and-bound over the unit sphere that answers Unknown at
 budget exhaustion instead of guessing.
@@ -59,45 +59,23 @@ def _first_in_cone(cone, pts, worst, floor):
     return None
 
 
-def _planar_angles(mats):
-    """Every constraint's critical angles on the projective circle, sorted,
-    then the midpoints of the arcs between them; [0] when there are none.
-
-    On the unit circle x'Px is a + R cos(2t - p), so its roots are
-    (p +- acos(-a/R)) / 2 mod pi.
-    """
-    a = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
-    b = 0.5 * (mats[:, 0, 0] - mats[:, 1, 1])
-    g = mats[:, 0, 1]
-    R = np.hypot(b, g)
-    live = R > 1e-300  # else a constant margin, which evaluation handles
-    u = -a[live] / R[live]
-    cuts = np.abs(u) <= 1.0
-    phi = np.arctan2(g[live][cuts], b[live][cuts])
-    psi = np.arccos(u[cuts])
-    roots = np.unique(np.mod(np.concatenate([phi + psi, phi - psi]) / 2.0, np.pi))
-    if not len(roots):
-        return np.zeros(1)
-    ext = np.append(roots, roots[0] + np.pi)
-    return np.concatenate([roots, 0.5 * (ext[:-1] + ext[1:])])
-
-
 def decide_planar(cone: ConeSystem):
-    """Exact decision for n = 2 via the critical angles of every constraint.
+    """Decision for n = 2 on arcs of the projective circle.
 
-    The feasible set on the circle is a finite union of arcs whose endpoints
-    lie among the constraint roots, so it is empty iff no root and no arc
-    midpoint is in the cone.  All candidates are evaluated in one einsum;
-    each whose worst margin is within rounding of zero is then checked by
-    `cone.contains`, best first, and the first to pass is the witness.
+    Each form holds, closed, on one arc (`saist.arcs.form_arc`), so the
+    closure of the cone is their intersection.  Empty: unsat.  Else the
+    midpoint of the widest arc is the witness if the cone contains it, and
+    the answer is unknown if not, since then the set may be boundary only.
     """
-    mats, signs = cone.mats, cone.signs
-    t = _planar_angles(mats)
-    pts = np.column_stack([np.cos(t), np.sin(t)])
-    worst = _margins(pts, mats, signs).min(axis=1)
-    slack = ACCEPT_SLACK * np.linalg.norm(mats, axis=(1, 2)).max()
-    x = _first_in_cone(cone, pts, worst, -slack)
-    return ("unsat", None) if x is None else ("sat", x)
+    from .arcs import FULL, form_arc, intersect, widest_midpoint  # so `import saist` loads no arcs
+
+    arcs = FULL
+    for P, s in zip(cone.mats.tolist(), cone.signs.tolist()):
+        arcs = intersect(arcs, form_arc(P, s))
+    if not arcs:
+        return "unsat", None
+    x = widest_midpoint(arcs)
+    return ("sat", x) if _verdict_point(cone, x) else ("unknown", None)
 
 
 def _ovals(lam, vec):

@@ -234,11 +234,11 @@ def compute_saist(config: SaistConfig) -> SaistReport:
     """Refine the traffic abstraction until its smallest-in-average cycle is a
     proven behavior of the closed loop, or until the depth budget runs out."""
     # imported here so that `import saist` loads nothing more than the cone path needs
-    from .arcs import ArcOracle, decidable_on_arcs
+    from .arcs import ArcOracle
 
     disc = discretize(config.system)
-    # a well-conditioned planar plant is decided on arcs, anything else on cones
-    oracle = ArcOracle(disc) if decidable_on_arcs(disc) else ConeOracle(disc, seed=config.seed)
+    # a planar plant is decided on arcs, anything else on cones
+    oracle = ArcOracle(disc) if disc.n == 2 else ConeOracle(disc, seed=config.seed)
 
     def next_abstraction(prev, sac_states):
         if prev is not None and config.mode == "targeted":

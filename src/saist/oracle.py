@@ -1,4 +1,9 @@
-"""Feasibility oracle for sigma-cones: seeded sampling first, exact decisions second."""
+"""Feasibility oracle for sigma-cones: seeded sampling first, exact decisions second.
+
+`compute_saist` decides the words of plants with n != 2 here; planar
+plants are decided on arcs (`saist.arcs`).  The 2-D pool and engine serve
+explicit cones.
+"""
 
 import enum
 from itertools import islice
@@ -78,10 +83,9 @@ def _unit_pool(n, size, seed):
 class ConeOracle:
     """Decides sigma-cone nonemptiness for one discretized PETC system.
 
-    `compute_saist` uses it for n >= 3 and for a planar plant with a
-    near-singular M(k); other planar plants go to
-    :class:`saist.arcs.ArcOracle`.  Explicit cones, such as those of
-    `epsilon_inflation_empty`, always come here.
+    `compute_saist` uses it for n != 2; every planar plant goes to
+    :class:`saist.arcs.ArcOracle`.  Explicit cones, 2-D ones included, such
+    as those of `epsilon_inflation_empty`, always come here.
 
     A cone has one path to its verdict: the point pool, then for n >= 3 an
     emptiness certificate, then for n >= 4 a witness ascent, then the

@@ -66,6 +66,20 @@ class WeightedGraph:
         """The strongly connected components, in reverse topological order."""
         return tarjan_scc(self.n, self.successors())
 
+    @cached_property
+    def scc_edges(self):
+        """Per SCC, in `sccs` order, (src, dst, ids): the edges inside it,
+        their ends numbered by position in the component, and their indices."""
+        comp_of, local = [0] * self.n, [0] * self.n
+        for c, comp in enumerate(self.sccs):
+            for i, v in enumerate(comp):
+                comp_of[v], local[v] = c, i
+        inside = [[] for _ in self.sccs]
+        for e, (u, v, _) in enumerate(self.edges):
+            if comp_of[u] == comp_of[v]:
+                inside[comp_of[u]].append((local[u], local[v], e))
+        return [np.array(es, dtype=np.int64).reshape(-1, 3).T for es in inside]
+
     def negated(self):
         return WeightedGraph(self.labels, tuple((u, v, -w) for u, v, w in self.edges))
 
@@ -137,21 +151,11 @@ def tarjan_scc(n, adj):
     return comps
 
 
-def _karp_component(comp, edges, weights):
-    """Exact min cycle mean (as Fraction over the int weights) within one SCC."""
-    comp_set = set(comp)
-    idx = {v: i for i, v in enumerate(comp)}
-    es = [
-        (idx[u], idx[v], w)
-        for (u, v, _), w in zip(edges, weights)
-        if u in comp_set and v in comp_set
-    ]
-    if not es:
+def _karp_component(nv, src, dst, w):
+    """Exact min cycle mean (as Fraction over the int weights) within one SCC
+    of nv vertices, given its edges (src, dst) and their int64 weights w."""
+    if not len(w):
         return None
-    nv = len(comp)
-    src = np.array([e[0] for e in es], dtype=np.int64)
-    dst = np.array([e[1] for e in es], dtype=np.int64)
-    w = np.array([e[2] for e in es], dtype=np.int64)
     d = np.full((nv + 1, nv), _INF, dtype=np.int64)
     d[0, 0] = 0
     for k in range(1, nv + 1):
@@ -267,9 +271,10 @@ def min_mean_cycles(graph: WeightedGraph, max_cycles=32):
     """All (up to max_cycles) canonical-rotation-distinct minimum mean cycles,
     in label order."""
     weights_int, den = graph.int_weights
+    w = np.array(weights_int, dtype=np.int64)
     mu = None
-    for comp in graph.sccs:
-        cand = _karp_component(comp, graph.edges, weights_int)
+    for comp, (src, dst, ids) in zip(graph.sccs, graph.scc_edges):
+        cand = _karp_component(len(comp), src, dst, w[ids])
         if cand is not None and (mu is None or cand < mu):
             mu = cand
     if mu is None:
@@ -293,13 +298,12 @@ def attracting_scc_bound(graph: WeightedGraph) -> Fraction:
     concrete system's smallest limit average."""
     adj = graph.successors()
     weights_int, den = graph.int_weights
-    negated = [-w for w in weights_int]
+    negated = -np.array(weights_int, dtype=np.int64)
     best = None
-    for comp in graph.sccs:
-        comp_set = set(comp)
-        if any(v not in comp_set for u in comp for v in adj[u]):
+    for comp, (src, dst, ids) in zip(graph.sccs, graph.scc_edges):
+        if sum(len(adj[u]) for u in comp) > len(ids):
             continue  # edges escape: not attracting
-        val = -_karp_component(comp, graph.edges, negated) / den
+        val = -_karp_component(len(comp), src, dst, negated[ids]) / den
         if best is None or val < best:
             best = val
     return best

@@ -1,14 +1,18 @@
 """The 2-D arc oracle against the cone oracle, its witnesses, its soundness
-on nearly tangent arcs, and which oracle `compute_saist` picks."""
+on nearly tangent arcs and on singular letters, the pull-back through the
+adjugate, and which oracle `compute_saist` picks."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from saist import (
@@ -22,18 +26,18 @@ from saist import (
     relative_error_trigger,
     trace,
 )
-from saist import arcs as arcs_module
 from saist import driver
 from saist.arcs import (
     ARC_SLACK,
-    DET_FLOOR,
+    FULL,
     ArcOracle,
-    decidable_on_arcs,
     intersect,
     letter_arcs,
+    normalized,
     pull_back,
 )
-from saist.cones import sigma_cone
+from saist.cones import ConeSystem, sigma_cone
+from saist.decider import decide_planar
 
 from test_acceptance import sys_2d, sys_jet
 from test_curve_decider import arc_form
@@ -43,16 +47,20 @@ SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[Healt
 TANGENT = 1e-6  # an arc this narrow, or a cone witness this shallow, is within rounding of tangency
 
 
+def adj_of(M):
+    """(adj M as the flat (a, b, c, d), det M < 0): `pull_back`'s arguments."""
+    (a, b), (c, d) = np.asarray(M, dtype=float).tolist()
+    return (d, -b, -c, a), a * d - b * c < 0.0
+
+
 def arcs_of(disc, word):
     """The word's arc set from the primitives alone, last letter first."""
     N = disc.N.tolist()
-    inv, det = np.linalg.inv(disc.M), np.linalg.det(disc.M)
     arcs = letter_arcs(N, word[-1], disc.kbar)
     for k in reversed(word[:-1]):
         if not arcs:
             break
-        pulled = pull_back(arcs, tuple(inv[k - 1].ravel().tolist()), bool(det[k - 1] < 0))
-        arcs = intersect(letter_arcs(N, k, disc.kbar), pulled)
+        arcs = intersect(letter_arcs(N, k, disc.kbar), pull_back(arcs, *adj_of(disc.M[k - 1])))
     return arcs
 
 
@@ -73,7 +81,6 @@ def test_arc_verdicts_match_the_cone_oracle_on_random_plants(seed, scale, sigma,
     rng = np.random.default_rng(seed)
     A, BK = scale * rng.standard_normal((2, 2)), scale * rng.standard_normal((2, 2))
     disc = discretize(PetcSystem(A=A, BK=BK, Qtrig=relative_error_trigger(sigma, 2), h=h, kbar=kbar))
-    assume(decidable_on_arcs(disc))
     arcs, cones = ArcOracle(disc), ConeOracle(disc)
     words = [tuple(rng.integers(1, kbar + 1, size=rng.integers(1, 7)).tolist()) for _ in range(12)]
     for _ in range(4):  # words some state produces
@@ -96,7 +103,6 @@ def acceptance_plants():
 @pytest.mark.parametrize("plant", acceptance_plants(), ids=["s0.1", "s0.2", "s0.3", "s0.4", "s0.5", "jet"])
 def test_level_sets_and_witnesses_match_the_cone_oracle_to_depth_8(plant):
     disc = discretize(plant)
-    assert decidable_on_arcs(disc)
     arcs, cones = ArcOracle(disc), ConeOracle(disc)
     by_arcs = by_cones = None
     for l in range(1, 9):
@@ -136,7 +142,6 @@ def tangent_system(c1, w1, w2, gap, overlap, scale, flip):
 )
 def test_nearly_tangent_arcs_keep_every_sampled_word(c1, widths, gap, overlap, scale, flip):
     disc, contact = tangent_system(c1, *widths, gap, overlap, scale, flip)
-    assert decidable_on_arcs(disc)
     kept = ArcOracle(disc).feasible_word((1, 2)).is_feasible
     cone = sigma_cone(disc, (1, 2))
     t = contact + np.linspace(-3.0 * gap, 3.0 * gap, 4001)
@@ -150,38 +155,123 @@ def test_arcs_missing_by_the_slack_still_meet():
     assert intersect(a, b) and not intersect(a, ((1.0 + 2.0 * ARC_SLACK, 2.0),))
 
 
+def rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
 def test_pull_back_keeps_wrapping_and_full_arcs():
-    back = (math.cos(0.2), math.sin(0.2), -math.sin(0.2), math.cos(0.2))  # rotation by -0.2
     arc = ((3.0, 3.5),)  # runs over the wrap at pi
-    ((lo, hi),) = pull_back(arc, back, False)
+    ((lo, hi),) = pull_back(arc, *adj_of(rotation(0.2)))
     assert math.isclose(lo, 2.8) and math.isclose(hi, 3.3)
-    assert pull_back(((0.0, math.pi),), back, False) == ((0.0, math.pi),)
+    assert pull_back(FULL, *adj_of(rotation(0.2))) == FULL
+    assert pull_back(FULL, *adj_of(3.0 * rotation(-1.0))) == FULL
     # the reflection t -> -t takes [3.0, 3.5] to [-3.5, -3.0], that is [2 pi - 3.5, 2 pi - 3.0]
-    ((lo, hi),) = pull_back(arc, (1.0, 0.0, 0.0, -1.0), True)
+    ((lo, hi),) = pull_back(arc, *adj_of(np.diag([1.0, -1.0])))
     assert math.isclose(lo, 2 * math.pi - 3.5) and math.isclose(hi - lo, 0.5)
+
+
+KERNEL = math.atan2(0.3, 1.1)  # the kernel direction of every M = u (0.3, -1.1)'
+
+
+@pytest.mark.parametrize(
+    "range_angle, arc, expected",
+    [
+        (1.2, (1.0, 1.5), FULL),  # the range inside S
+        (1.2 + math.pi, (1.0, 1.5), FULL),  # the same line, the other way
+        (2.0, (1.0, 1.5), ((KERNEL, KERNEL),)),  # the range outside S: its kernel
+        (1.0, (1.0, 1.5), FULL),  # the range on an endpoint
+        (1.5, (1.0, 1.5), FULL),
+        (0.0, (2.5, math.pi), FULL),  # on an endpoint that rounding puts just past it
+    ],
+)
+def test_pull_back_through_a_rank_1_letter(range_angle, arc, expected):
+    M = np.outer([math.cos(range_angle), math.sin(range_angle)], [0.3, -1.1])
+    back = pull_back((arc,), *adj_of(M))
+    assert len(back) == len(expected)
+    for got, want in zip(back, expected):
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def depth_in(arcs, t):
+    """How far inside the arc set the angle t lies, in radians; <= 0 outside."""
+    t %= math.pi
+    if arcs == FULL:
+        return math.inf
+    return max((min(s - lo, hi - s) for lo, hi in arcs for s in (t, t + math.pi)), default=-1.0)
+
+
+def exact_image(M, x):
+    """M x, each entry the rounded exact sum of exact products."""
+    return [float(sum(Fraction(m) * Fraction(v) for m, v in zip(row, x))) for row in M.tolist()]
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-12, 1e-6, None]),  # rank 1 plus this much; None: generic
+    lo=st.floats(0.0, math.pi, exclude_max=True),
+    width=st.floats(0.0, math.pi),
+)
+def test_pull_back_keeps_every_sampled_preimage(seed, noise, lo, width):
+    rng = np.random.default_rng(seed)
+    if noise is None:
+        M = rng.standard_normal((2, 2))
+    else:
+        M = np.outer(rng.standard_normal(2), rng.standard_normal(2)) + noise * rng.standard_normal((2, 2))
+    S = normalized([(lo, lo + width)])
+    back = pull_back(S, *adj_of(M))
+    for t in np.concatenate([np.linspace(0.0, math.pi, 500, endpoint=False), rng.uniform(0.0, math.pi, 500)]):
+        y = exact_image(M, [math.cos(t), math.sin(t)])
+        if any(y) and depth_in(S, math.atan2(y[1], y[0])) > 1e-9:
+            assert depth_in(back, t) >= 0.0, (t, S, back)
 
 
 SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
 NEAR_SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-5]])
 
 
-@pytest.mark.parametrize("bad", [SINGULAR, NEAR_SINGULAR], ids=["singular", "near-singular"])
-def test_a_singular_letter_is_decided_on_cones(bad, monkeypatch):
+def with_letter_5(M5):
+    """2-D sigma = 0.3 with M(5) replaced."""
     disc = discretize(sys_2d(0.3))
     M = np.array(disc.M)
-    M[4] = bad
-    odd = DiscretizedSystem(M=M, N=disc.N, h=disc.h, kbar=disc.kbar)
-    assert not decidable_on_arcs(odd)
-    assert abs(np.linalg.det(bad)) <= DET_FLOOR * (bad**2).sum()
-    config = SaistConfig(system=sys_2d(0.3), l_max=5)
+    M[4] = M5
+    return DiscretizedSystem(M=M, N=disc.N, h=disc.h, kbar=disc.kbar)
+
+
+def dot_states(dot):
+    return {tuple(map(int, label.split(","))) for label in re.findall(r'label="\(([^)]*)\)"', dot)}
+
+
+def test_a_near_singular_letter_keeps_every_traced_word(monkeypatch):
+    odd = with_letter_5(NEAR_SINGULAR)
     monkeypatch.setattr(driver, "discretize", lambda system: odd)
-    chosen = compute_saist(config)
-    monkeypatch.setattr(arcs_module, "decidable_on_arcs", lambda disc: False)
-    forced = compute_saist(config)
-    assert chosen.to_json(include_timing=False) == forced.to_json(include_timing=False)
-    assert chosen.dot == forced.dot
-    for it in chosen.iterations:  # counted by ConeOracle, not on arcs
-        assert "arc_words" not in it["oracle"] and it["oracle"]["queries"] > 0
+    report = compute_saist(SaistConfig(system=sys_2d(0.3), l_max=3))
+    assert report.l_reached == 3 and not report.verified
+    # M(5) maps almost every direction onto one line, so the states that
+    # start with two 5s span about 1e-12 rad, and their third IST varies
+    t = 2.67794584458798 + np.linspace(-1e-12, 1e-12, 4001)
+    traced = {trace(odd, np.array([math.cos(s), math.sin(s)]), 3) for s in t}
+    assert {(5, 5, 3), (5, 5, 6), (5, 5, 7), (5, 5, 8)} <= traced
+    assert traced <= dot_states(report.dot)
+
+
+def test_a_singular_letter_ends_in_bounds(monkeypatch):
+    monkeypatch.setattr(driver, "discretize", lambda system: with_letter_5(SINGULAR))
+    report = compute_saist(SaistConfig(system=sys_2d(0.3), l_max=10))
+    assert report.status == "BoundsOnly" and report.l_reached == 10
+    assert report.saist_lower <= report.saist_upper
+    # every suffix keeps the kernel point of M(5): looser than the cones, but sound
+    assert report.iterations[2]["n_states"] == 40
+
+
+def test_a_boundary_only_cone_is_unknown():
+    wedge = np.diag([1.0, -1.0])
+    for forms, signs in [
+        ([wedge, wedge], [1.0, -1.0]),  # x0^2 > x1^2 and x0^2 <= x1^2: the closures meet on the diagonals
+        ([-np.diag([1.0, 0.0])], [1.0]),  # -x0^2 > 0: the closure is x0 = 0
+    ]:
+        assert decide_planar(ConeSystem(word=(1,), mats=forms, signs=signs)) == ("unknown", None)
+    assert decide_planar(ConeSystem(word=(1,), mats=[-np.eye(2)], signs=[1.0])) == ("unsat", None)
 
 
 def test_bad_plants_and_words_are_refused():
@@ -202,13 +292,12 @@ def test_import_saist_loads_no_arcs():
 
 
 def test_selection_follows_the_plant():
-    assert decidable_on_arcs(discretize(sys_2d(0.3)))
-    assert decidable_on_arcs(discretize(sys_jet()))
-    assert not decidable_on_arcs(discretize(system_3d()))
     report = compute_saist(SaistConfig(system=sys_2d(0.2), l_max=3))
     block = report.iterations[-1]["oracle"]
     assert block["arc_words"] > 0
     assert block["queries"] == block["engine_calls"] == block["sampling_hits"] == block["certified"] == 0
+    block = compute_saist(SaistConfig(system=system_3d(), l_max=1)).iterations[-1]["oracle"]
+    assert "arc_words" not in block and block["queries"] > 0
 
 
 def test_a_missing_suffix_is_built_recursively_and_counted():

@@ -4,6 +4,7 @@ import pytest
 from saist import (
     ConeOracle,
     ConeSystem,
+    DiscretizedSystem,
     PetcSystem,
     Status,
     basic_invariant_subspaces,
@@ -77,6 +78,17 @@ def test_cycle_matrix_singular():
             ),
             (5, 5),
         )
+
+
+def test_a_singular_cycle_is_a_failed_candidate(disc04):
+    M = np.array(disc04.M)
+    M[4] = [[1.0, 2.0], [2.0, 4.0]]
+    odd = DiscretizedSystem(M=M, N=disc04.N, h=disc04.h, kbar=disc04.kbar)
+    with pytest.raises(SingularCycleMatrix):
+        cycle_matrix(odd, (2, 5))
+    out = verify_cycle(odd, (2, 5))
+    assert not out.verified
+    assert out.warnings == ("power 1: cycle matrix numerically singular",)
 
 
 def test_bils_diagonal():

@@ -226,6 +226,19 @@ def test_int_weights_and_sccs_are_computed_once(monkeypatch):
     assert g.sccs is g.sccs and g.int_weights is g.int_weights
 
 
+def test_each_scc_gets_exactly_its_own_edges():
+    g = WeightedGraph(
+        labels=(0, 1, 2, 3),
+        edges=((0, 1, 1), (1, 0, 2), (1, 2, 3), (2, 3, 4), (3, 2, 5), (3, 3, 6), (0, 0, 7)),
+    )
+    assert g.scc_edges is g.scc_edges
+    for comp, (src, dst, ids) in zip(g.sccs, g.scc_edges):
+        inside = [e for e, (u, v, _) in enumerate(g.edges) if u in comp and v in comp]
+        assert ids.tolist() == inside
+        assert [(comp[a], comp[b]) for a, b in zip(src, dst)] == [g.edges[e][:2] for e in inside]
+    assert sorted(e for _, _, ids in g.scc_edges for e in ids) == [0, 1, 3, 4, 5, 6]
+
+
 def test_long_tight_cycle_beyond_recursion_limit():
     n = sys.getrecursionlimit() + 500
     g = WeightedGraph(
