@@ -217,6 +217,11 @@ class ArcOracle:
         v = self._verdicts.get(tuple(word))
         return v is not None and not v.maybe_feasible
 
+    def known_feasible(self, word):
+        """Whether the word is already decided feasible."""
+        v = self._verdicts.get(tuple(word))
+        return v is not None and v.is_feasible
+
     def retain(self, words):
         """Forget the sets of every word not in `words`."""
         self._sets = {w: self._sets[w] for w in set(words) if w in self._sets}

@@ -131,15 +131,23 @@ def subspace_contained(V, P, sign, tol: float) -> bool:
 
     Strict-positive: lambda_min(V'PV) > tol; non-positive: lambda_max <= tol.
     """
+    return span_satisfies(V, np.asarray(P)[None], np.array([sign]), tol)
+
+
+def span_satisfies(V, mats, signs, tol: float) -> bool:
+    """Whether span(V) \\ {0} satisfies every form of the (c, n, n) stack,
+    as `subspace_contained` decides each; True for an empty stack.  The
+    basis rank is checked once, and every V'PV goes through one stacked
+    `eigvalsh`."""
+    if not len(signs):
+        return True
     V = np.asarray(V, dtype=np.float64)
     if V.ndim == 1:
         V = V[:, None]
     sv = np.linalg.svd(V, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-10:
         raise RankDeficientBasis("basis matrix is rank deficient")
-    G = V.T @ P @ V
-    G = 0.5 * (G + G.T)
-    eig = np.linalg.eigvalsh(G)
-    if sign > 0:
-        return bool(eig[0] > tol)
-    return bool(eig[-1] <= tol)
+    G = V.T @ mats @ V
+    eig = np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))
+    signs = np.asarray(signs)
+    return bool(np.where(signs > 0, eig[:, 0] > tol, eig[:, -1] <= tol).all())

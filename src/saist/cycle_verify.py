@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSystem, letter_forms, sigma_cone, subspace_contained
+from .cones import ConeSystem, letter_forms, sigma_cone, span_satisfies
 from .errors import DefectiveMatrix, RankDeficientBasis, SingularCycleMatrix
 from .oracle import Status
 from .petc import DiscretizedSystem, trace
@@ -145,18 +145,22 @@ def basic_invariant_subspaces(M) -> list:
     return out
 
 
-def _chain_contained(disc, word, V, tol=STRICT_TOL):
-    """The propagated-basis containment chain for one candidate subspace."""
-    Vj = V
+def _letter_forms(disc, word):
+    """Each letter of the word's own forms, unpulled: letter -> (mats, signs)."""
     eye = np.eye(disc.n)[None]
+    return {k: letter_forms(disc, eye, [k])[1:3] for k in set(word)}
+
+
+def _chain_contained(disc, word, V, forms, tol=STRICT_TOL):
+    """The propagated-basis containment chain for one candidate subspace;
+    `forms` holds each letter's forms, as `_letter_forms` gives them."""
+    Vj = V
     for k in word:
-        _, forms, signs, _ = letter_forms(disc, eye, [k])
-        for P, sign in zip(forms, signs):
-            try:
-                if not subspace_contained(Vj, P, sign, tol):
-                    return False
-            except RankDeficientBasis:
+        try:
+            if not span_satisfies(Vj, *forms[k], tol):
                 return False
+        except RankDeficientBasis:
+            return False
         Vj = disc.M[k - 1] @ Vj
         Q, _ = np.linalg.qr(Vj)
         Vj = Q
@@ -193,6 +197,7 @@ def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyR
     rational rotations.  A numerically singular power ends the search with
     a warning, so a singular cycle is a failed candidate."""
     word = tuple(int(k) for k in word)
+    forms = _letter_forms(disc, word)
     warnings = []
     for q in range(1, max_power + 1):
         w_q = word * q
@@ -207,7 +212,7 @@ def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyR
             warnings.append(f"power {q}: {e}")
             continue
         for sub in subs:
-            if not _chain_contained(disc, w_q, sub.basis):
+            if not _chain_contained(disc, w_q, sub.basis, forms):
                 continue
             if _simulation_confirms(disc, word, sub, seed=seed):
                 return VerifyResult(True, witness=sub, power=q, warnings=tuple(warnings))

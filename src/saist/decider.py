@@ -11,9 +11,10 @@ Dimension >= 4, and a 3-D form with a numerically zero eigenvalue, go to a
 Lipschitz branch-and-bound over the unit sphere that answers Unknown at
 budget exhaustion instead of guessing.
 
-`s_procedure_certificate` proves a cone empty without any search.  For
-n >= 3 the oracle tries it after its point pool and before the engine, so
-the order for n = 3 is pool, certificate, curves; n = 2 skips the
+`s_procedure_certificates` proves cones empty without any search, a batch
+at a time in one lockstep descent.  For n >= 3 the oracle tries it after
+its point pool and before the engine, on every pool miss of a batch at
+once, so the order for n = 3 is pool, certificate, curves; n = 2 skips the
 certificate; only n >= 4 runs a witness ascent before the engine.
 """
 
@@ -217,35 +218,67 @@ def exactly_negative_definite(weights, cone: ConeSystem) -> bool:
     return True
 
 
-def s_procedure_certificate(cone: ConeSystem):
-    """Weights tau >= 0 with sum_i tau_i s_i P_i negative definite, or None.
+def s_procedure_certificates(cones) -> list:
+    """Per cone, weights tau >= 0 with sum_i tau_i s_i P_i negative definite,
+    or None; the cones share one dimension n.
 
-    Such weights prove the cone empty: at any point x of the cone every term
+    Such weights prove a cone empty: at any point x of the cone every term
     s_i x'P_i x is >= 0, so their weighted sum cannot be negative (the
     degree-0 S-procedure; Polik & Terlaky, "A survey of the S-lemma", SIAM
-    Review 2007).  The search is entropic mirror descent over the simplex on
-    lambda_max of the weighted sum of the Frobenius-normalised forms s_i P_i,
-    with step 16/sqrt(t), stopping at the first negative lambda_max.  Weights
-    are returned only once `exactly_negative_definite` accepts them.
+    Review 2007).  The search is entropic mirror descent over the simplex
+    (Beck & Teboulle, Oper. Res. Lett. 2003) on lambda_max of the weighted
+    sum of the Frobenius-normalised nonzero forms s_i P_i, with step
+    16/sqrt(t), for CERTIFICATE_ITERATIONS steps.  All cones descend in
+    lockstep, one stacked `eigh` per step: each cone's forms are padded
+    with -0.0 forms of weight 0 to the batch's largest count, which add
+    exactly nothing to the sums, taken in order, so every cone's weights
+    are bitwise those of its batch of one.  A cone leaves at its first
+    negative lambda_max, and its weights are returned only once
+    `exactly_negative_definite` accepts them.
     """
-    mats, signs = cone.mats, cone.signs
-    norms = np.linalg.norm(mats, axis=(1, 2))
-    live = norms > 0.0  # a zero form cannot help the sum
-    if not live.any():
-        return None
-    G = signs[live, None, None] * mats[live] / norms[live, None, None]
-    tau = np.full(len(G), 1.0 / len(G))
+    out = [None] * len(cones)
+    norms = [np.linalg.norm(c.mats, axis=(1, 2)) for c in cones]
+    todo = np.array([i for i, m in enumerate(norms) if (m > 0.0).any()], dtype=np.intp)
+    if not len(todo):  # a zero form cannot help the sum
+        return out
+    counts = np.array([np.count_nonzero(norms[i]) for i in todo])
+    n = cones[todo[0]].n
+    G = np.full((len(todo), counts.max(), n, n), -0.0)
+    tau = np.zeros(G.shape[:2])
+    for b, i in enumerate(todo.tolist()):
+        nonzero = norms[i] > 0.0
+        cone = cones[i]
+        G[b, : counts[b]] = (
+            cone.signs[nonzero, None, None] * cone.mats[nonzero] / norms[i][nonzero, None, None]
+        )
+        tau[b, : counts[b]] = 1.0 / counts[b]
+    live = np.arange(G.shape[1]) < counts[:, None]  # not tau > 0: a live weight can underflow
     for t in range(1, CERTIFICATE_ITERATIONS + 1):
-        lam, vecs = np.linalg.eigh(np.tensordot(tau, G, axes=1))
-        if lam[-1] < 0.0:
-            weights = np.zeros(len(mats))
-            weights[live] = tau / norms[live]
-            return weights if exactly_negative_definite(weights, cone) else None
-        v = vecs[:, -1]
-        grad = np.einsum("i,cij,j->c", v, G, v)  # d lambda_max / d tau
-        tau = tau * np.exp(-16.0 / math.sqrt(t) * (grad - grad.min()))
-        tau /= tau.sum()
-    return None
+        lam, vecs = np.linalg.eigh(np.cumsum(tau[..., None, None] * G, axis=1)[:, -1])
+        done = lam[:, -1] < 0.0
+        for b in np.flatnonzero(done).tolist():
+            i = todo[b]
+            nonzero = norms[i] > 0.0
+            weights = np.zeros(len(nonzero))
+            weights[nonzero] = tau[b, : counts[b]] / norms[i][nonzero]
+            out[i] = weights if exactly_negative_definite(weights, cones[i]) else None
+        if done.all():
+            break
+        if done.any():
+            G, tau, live, counts, todo, vecs = (
+                a[~done] for a in (G, tau, live, counts, todo, vecs)
+            )
+        v = vecs[..., -1]
+        grad = np.einsum("bi,bcij,bj->bc", v, G, v)  # d lambda_max / d tau
+        low = np.where(live, grad, np.inf).min(axis=1, keepdims=True)
+        tau = tau * np.exp(-16.0 / math.sqrt(t) * (grad - low))
+        tau /= np.cumsum(tau, axis=1)[:, -1:]
+    return out
+
+
+def s_procedure_certificate(cone: ConeSystem):
+    """`s_procedure_certificates` of the cone alone."""
+    return s_procedure_certificates([cone])[0]
 
 
 def _norm(x):

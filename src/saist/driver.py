@@ -152,13 +152,17 @@ def _cycle_candidates(graph: WeightedGraph, max_cycles=32):
     return [seen[k] for k in sorted(seen)]
 
 
-def _refinement_loop(next_abstraction, verify, l_max, h, stats=None) -> SaistReport:
+def _refinement_loop(
+    next_abstraction, verify, l_max, h, stats=None, known_feasible=None
+) -> SaistReport:
     """Abstract, bound, try the minimum-mean cycles by output word, refine.
 
     `next_abstraction(prev, sac_states)` gives the next abstraction, or None
     when there is none to build; one deeper than `l_max` is kept for the
     report but not analysed.  `verify(word)` gives a VerifyResult, and
     `stats`, if any, is copied into each iteration record.
+    `known_feasible(word)`, if given, tells which states hold a concrete
+    state; the upper bound then counts only attracting SCCs with one.
     """
     lower = None
     upper = None
@@ -180,7 +184,7 @@ def _refinement_loop(next_abstraction, verify, l_max, h, stats=None) -> SaistRep
         value = cands[0][0].value
         if lower is None or value > lower:
             lower = value
-        bound = attracting_scc_bound(graph)
+        bound = attracting_scc_bound(graph, known_feasible)
         if bound is not None and (upper is None or bound < upper):
             upper = bound
         verified = None
@@ -260,6 +264,7 @@ def compute_saist(config: SaistConfig) -> SaistReport:
         config.l_max,
         config.system.h,
         oracle.stats,
+        oracle.known_feasible,  # read from the cached verdicts: no lookups
     )
 
 

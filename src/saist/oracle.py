@@ -14,7 +14,12 @@ import numpy as np
 
 from . import kernels
 from .cones import ConeSystem, checked_word, letter_forms
-from .decider import WITNESS_TOL, BuiltinDecider, s_procedure_certificate
+from .decider import (
+    WITNESS_TOL,
+    BuiltinDecider,
+    s_procedure_certificate,
+    s_procedure_certificates,
+)
 from .petc import DiscretizedSystem
 
 GOLDEN = 0.6180339887498949
@@ -95,8 +100,12 @@ class ConeOracle:
     the uncached ones a chunk at a time, each word's cone its parent's plus
     one letter's forms, in one batched step per level with the pool
     evaluated on the new forms only and the parents' witnesses scored in
-    one gathered evaluation; then each word goes through `feasible_word`,
-    which builds a lone word's cone as a batch of one.  The parents kept
+    one gathered evaluation; for n >= 3 it then certifies every cone the
+    pool misses in one lockstep descent (`s_procedure_certificates`); then
+    each word goes through `feasible_word`, which builds a lone word's cone
+    as a batch of one, and `feasible`, which takes the batch's certificate
+    and certifies a cone from outside a batch, such as an explicit one, as
+    a batch of one.  The parents kept
     are the words passed to the last `retain`, plus the feasible words
     decided since.  `engine` is anything with
     ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``; the default is
@@ -113,6 +122,7 @@ class ConeOracle:
         root = ConeSystem._of((), np.empty((0, n, n)), np.empty(0))
         self._root = _Cone(root, np.eye(n), _worst(self.pool, root.mats, root.signs))
         self._memo = {}
+        self._certificates = {}  # ConeSystem -> weights or None, for the batch being decided
         self.stats = {"sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0}
 
     @property
@@ -140,16 +150,17 @@ class ConeOracle:
         starts = np.vstack(ws)
         return worst, starts, _worst(starts, cone.mats, cone.signs)
 
-    def _best(self, worst, starts, start_worst):
-        """The point with the largest worst margin, and that margin: the
-        first maximum, pool points before witnesses."""
+    def _pool_hit(self, worst, starts, start_worst):
+        """The point with the largest worst margin, normalised, if that
+        margin clears WITNESS_TOL, else None: the first maximum, pool points
+        before witnesses."""
         best = int(np.argmax(worst))
         x, top = self.pool[best], worst[best]
         if starts is not None:
             j = int(np.argmax(start_worst))
             if start_worst[j] > top:
                 x, top = starts[j], start_worst[j]
-        return x, top
+        return x / np.linalg.norm(x) if top > WITNESS_TOL else None
 
     def _ascend(self, cone, worst, starts, start_worst):
         """Locally improve the most promising points; a witness or None."""
@@ -178,20 +189,28 @@ class ConeOracle:
 
     def feasible(self, cone: ConeSystem) -> FeasibilityVerdict:
         """The cached verdict, if any.  Else the pool; then, for n >= 3, an
-        S-procedure emptiness certificate; then, for n >= 4, a witness
-        ascent; then the engine, which decides n <= 3 on curves."""
+        S-procedure emptiness certificate, the one `feasible_words` found
+        for the cone's batch or else one of its own; then, for n >= 4, a
+        witness ascent; then the engine, which decides n <= 3 on curves."""
         key = (tuple(cone.word), cone.variant)
         self.stats["queries"] += 1
         cached = self._verdicts.get(key)
         if cached is not None:
             return cached
         pool = self._pool(cone)
-        x, top = self._best(*pool)
-        if top > WITNESS_TOL:
-            return self._sampled(key, x / np.linalg.norm(x))
-        if cone.n >= 3 and s_procedure_certificate(cone) is not None:
-            self.stats["certified"] += 1
-            return self._store(key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE))
+        x = self._pool_hit(*pool)
+        if x is not None:
+            return self._sampled(key, x)
+        if cone.n >= 3:
+            if cone in self._certificates:
+                tau = self._certificates.pop(cone)
+            else:
+                tau = s_procedure_certificate(cone)
+            if tau is not None:
+                self.stats["certified"] += 1
+                return self._store(
+                    key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
+                )
         if cone.n >= 4:
             x = self._ascend(cone, *pool)
             if x is not None:
@@ -280,6 +299,11 @@ class ConeOracle:
         v = self._verdicts.get((tuple(word), ""))
         return v is not None and not v.maybe_feasible
 
+    def known_feasible(self, word):
+        """Whether the word's cone is already decided FEASIBLE, with a witness."""
+        v = self._verdicts.get((tuple(word), ""))
+        return v is not None and v.is_feasible
+
     def retain(self, words):
         """Forget the cones of every word not in `words`."""
         words = set(words)
@@ -298,16 +322,39 @@ class ConeOracle:
         return v
 
     def feasible_words(self, words) -> list:
-        """`feasible_word` of each word, in order, with the cones of the
-        uncached words built a chunk at a time beforehand: each chunk adds
-        at most CHUNK_FORMS forms, save that it always takes one word."""
+        """`feasible_word` of each word, in order.  The words are taken in
+        runs in which no word's parent is an undecided word before it, so
+        that a parent's witnesses reach its children's pools as they do
+        word by word.  Before a run is decided, the cones of its uncached
+        words are built a chunk at a time, each chunk adding at most
+        CHUNK_FORMS forms save that it always takes one word, and for n >= 3
+        the words the pool misses are certified in one batch."""
         words = [tuple(w) for w in words]
-        out = []
+        out, start = [], 0
+        while start < len(words):
+            run, pending = [], set()
+            for w in islice(words, start, None):
+                if w[:-1] in pending:
+                    break
+                run.append(w)
+                if (w, "") not in self._verdicts:
+                    pending.add(w)
+            self._prepare(run)
+            out += [self.feasible_word(w) for w in run]
+            start += len(run)
+        return out
+
+    def _prepare(self, words):
+        """Build the cones of the uncached words, and certify for n >= 3
+        those the pool misses, all in one `s_procedure_certificates` batch."""
         for i, w in enumerate(words):
             if (w, "") not in self._verdicts and w not in self._memo:
                 self._extend_words(self._chunk(islice(words, i, None)))
-            out.append(self.feasible_word(w))
-        return out
+        if self.disc.n < 3:
+            return
+        cones = dict.fromkeys(self._memo[w].cone for w in words if (w, "") not in self._verdicts)
+        misses = [cone for cone in cones if self._pool_hit(*self._pool(cone)) is None]
+        self._certificates = dict(zip(misses, s_procedure_certificates(misses)))
 
     def _chunk(self, words):
         """The leading words to build: uncached, not kept, CHUNK_FORMS forms."""

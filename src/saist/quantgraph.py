@@ -293,9 +293,15 @@ def max_mean_cycle(graph: WeightedGraph) -> CycleResult:
     return CycleResult(value=-res.value, cycle=res.cycle)
 
 
-def attracting_scc_bound(graph: WeightedGraph) -> Fraction:
+def attracting_scc_bound(graph: WeightedGraph, feasible=None) -> Fraction:
     """Smallest maximum cycle mean over attracting SCCs: an upper bound on the
-    concrete system's smallest limit average."""
+    concrete system's smallest limit average; None if no SCC counts.
+
+    Given `feasible`, a test of whether a vertex's label is known to hold a
+    concrete state, an attracting SCC counts only if it holds such a state:
+    a concrete run from it never leaves the SCC, while an SCC whose states
+    may all be empty bounds nothing.  Without it every attracting SCC counts.
+    """
     adj = graph.successors()
     weights_int, den = graph.int_weights
     negated = -np.array(weights_int, dtype=np.int64)
@@ -303,6 +309,8 @@ def attracting_scc_bound(graph: WeightedGraph) -> Fraction:
     for comp, (src, dst, ids) in zip(graph.sccs, graph.scc_edges):
         if sum(len(adj[u]) for u in comp) > len(ids):
             continue  # edges escape: not attracting
+        if feasible is not None and not any(feasible(graph.labels[u]) for u in comp):
+            continue  # no state known to be realised
         val = -_karp_component(len(comp), src, dst, negated[ids]) / den
         if best is None or val < best:
             best = val

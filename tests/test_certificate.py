@@ -8,7 +8,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from saist import ConeSystem
-from saist.decider import decide_sphere_bnb, exactly_negative_definite, s_procedure_certificate
+from saist.decider import (
+    decide_sphere_bnb,
+    exactly_negative_definite,
+    s_procedure_certificate,
+    s_procedure_certificates,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -92,6 +97,35 @@ def test_certified_cone_has_no_points(seed, n, m, scale):
     q = np.einsum("pi,cij,pj->pc", pts, mats, pts)
     inside = np.where(signs > 0, q > 0, q <= 0).all(axis=1)
     assert not inside.any()
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), size=st.integers(1, 10))
+def test_a_batch_certifies_each_cone_as_it_would_alone(seed, n, size):
+    """The lockstep descent gives every cone of a batch, over mixed form
+    counts, zero forms and a form-free cone, bitwise the weights of its
+    batch of one, and every weight it returns passes the exact check."""
+    rng = np.random.default_rng(seed)
+    cones = [cone(np.empty((0, n, n)), [])]
+    for _ in range(size):
+        m = int(rng.integers(1, 13))
+        if rng.random() < 0.5:
+            c = cone_with_a_certificate(rng, n, max(m, 2), rng.uniform(0.05, 5.0))
+        else:
+            c, _ = cone_containing_a_point(rng, n, m)
+        mats = c.mats.copy()
+        mats[rng.random(len(mats)) < 0.2] = 0.0
+        cones.append(cone(mats, c.signs))
+    rng.shuffle(cones)
+    got = s_procedure_certificates(cones)
+    alone = [s_procedure_certificates([c])[0] for c in cones]
+    assert [None if w is None else w.tobytes() for w in got] == [
+        None if w is None else w.tobytes() for w in alone
+    ]
+    for c, w in zip(cones, got):
+        assert w is None or (len(w) == len(c.signs) and exactly_negative_definite(w, c))
+        if not np.linalg.norm(c.mats, axis=(1, 2)).any():
+            assert w is None
 
 
 def test_certificate_found_on_a_plainly_empty_cone():

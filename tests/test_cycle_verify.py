@@ -234,3 +234,33 @@ def test_disproved_word_stays_empty_inflated(disc05):
     word = (1,)
     assert oracle.feasible_word(word).status is Status.INFEASIBLE
     assert epsilon_inflation_empty(sigma_cone(disc05, word), 1e-8, oracle)
+
+
+def test_verify_builds_each_letters_forms_once(disc05, monkeypatch):
+    import saist.cycle_verify as cv
+
+    built = []
+    letter_forms = cv.letter_forms
+    monkeypatch.setattr(
+        cv, "letter_forms", lambda disc, phis, ks: built.extend(ks) or letter_forms(disc, phis, ks)
+    )
+    word = (7, 7, 8, 7, 3, 8)
+    verify_cycle(disc05, word)
+    assert sorted(built) == [3, 7, 8]
+
+
+def test_a_stack_of_forms_is_decided_as_each_form_alone():
+    from saist import subspace_contained
+    from saist.cones import span_satisfies
+
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        n, d, c = 3, 1 + trial % 2, 1 + trial % 5
+        V = np.linalg.qr(rng.standard_normal((n, d)))[0]
+        P = rng.standard_normal((c, n, n))
+        P = 0.5 * (P + P.transpose(0, 2, 1))
+        P[:, 0, 0] += 3.0 * (trial % 3 - 1)  # some stacks hold throughout
+        signs = rng.choice([-1.0, 1.0], c)
+        want = all(subspace_contained(V, Pi, s, 1e-10) for Pi, s in zip(P, signs))
+        assert span_satisfies(V, P, signs, 1e-10) == want
+    assert span_satisfies(np.zeros((3, 1)), P[:0], signs[:0], 1e-10)

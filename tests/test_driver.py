@@ -13,7 +13,8 @@ from saist import (
     parse_config,
     simulate,
 )
-from saist import driver
+from saist import TrafficAbstraction, driver
+from saist.cycle_verify import VerifyResult
 from saist.cli import main as cli_main
 from saist.errors import ConfigError
 
@@ -188,3 +189,26 @@ def test_kbar_one_is_verified_one():
     assert rep.verified
     assert rep.saist == Fraction(1)
     assert rep.sac_word == (1,)
+
+
+def test_upper_bound_skips_an_attracting_scc_of_unknown_states():
+    # {(2,), (3,)} attracts with maximum mean 5/2 and {(5,)} with 5; only
+    # (5,) is known feasible, so the upper bound is 5
+    model = TrafficAbstraction(
+        states=((2,), (3,), (5,)),
+        transitions=(((2,), (3,)), ((3,), (2,)), ((5,), (5,))),
+        depth=1,
+    )
+
+    def run(known_feasible):
+        return driver._refinement_loop(
+            lambda prev, _: None if prev else model,
+            lambda word: VerifyResult(False),
+            1,
+            1.0,
+            known_feasible=known_feasible,
+        )
+
+    assert run(None).saist_upper == Fraction(5, 2)
+    report = run(lambda word: word == (5,))
+    assert report.saist_lower == Fraction(5, 2) and report.saist_upper == 5

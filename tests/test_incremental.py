@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from saist import build_l_complete, discretize, kernels, refine_sac, sigma_cone
 from saist.cones import letter_forms
+from saist import oracle as oracle_module
 from saist.oracle import CHUNK_FORMS, ConeOracle, _worst
 
 from test_oracle import system_3d
@@ -175,6 +176,47 @@ def test_feasible_words_in_chunks_match_word_by_word(monkeypatch):
     for chunk in chunks:
         forms = sum(k if k < disc.kbar else k - 1 for *_, k in chunk)
         assert len(chunk) == 1 or forms <= CHUNK_FORMS
+
+
+def test_3d_batch_across_levels_matches_word_by_word(monkeypatch):
+    """A 3-D batch that mixes levels, with children before and after their
+    parents, certifies its pool misses a run at a time and decides as the
+    same words one at a time do: verdicts, witness bytes and counters."""
+    disc = disc_of("3d")
+    words = [(1, 2), (1,), (3,), (3, 1), (3, 1, 2), (3, 1)]
+    words += [(k,) for k in range(1, 21)] + [(a, b) for a in (2, 3, 4) for b in range(1, 21)]
+    words += [(2, 3, k) for k in range(1, 21)]
+    # the engine's witness of (2, 4, 5) is the only known point of (2, 4, 5, 6)
+    words += [(2, 4, 5), (2, 4, 5, 6)]
+    batch = ConeOracle(disc)
+    sizes = []
+    certify = oracle_module.s_procedure_certificates
+    monkeypatch.setattr(
+        oracle_module, "s_procedure_certificates", lambda cones: sizes.append(len(cones)) or certify(cones)
+    )
+    got = batch.feasible_words(words)
+    runs = list(sizes)
+    alone = ConeOracle(disc)
+    want = [alone.feasible_word(w) for w in words]
+    assert [v.status for v in got] == [v.status for v in want]
+    assert verdicts(batch) == verdicts(alone) and batch.stats == alone.stats
+    for w in set(words):
+        assert [x.tobytes() for x in batch.witnesses(w)] == [x.tobytes() for x in alone.witnesses(w)]
+    assert batch.stats["certified"] > 1 and max(runs) > 1
+    # only the pool misses were certified, and each certificate was used
+    assert sum(runs) == batch.stats["certified"] + batch.stats["engine_calls"]
+    assert not batch._certificates
+
+
+def test_feasible_runs_once_per_uncached_word(monkeypatch):
+    disc = disc_of("3d")
+    oracle = ConeOracle(disc)
+    oracle.feasible_words([(1,), (2,)])
+    decided = []
+    decide = oracle.feasible
+    monkeypatch.setattr(oracle, "feasible", lambda cone: decided.append(cone.word) or decide(cone))
+    oracle.feasible_words([(1,), (2, 1), (2, 1), (3,), (2, 1, 5), (2,), (3, 3)])
+    assert decided == [(2, 1), (3,), (2, 1, 5), (3, 3)]
 
 
 def test_build_from_scratch_equals_build_from_prev():

@@ -148,6 +148,7 @@ def test_engine_unknown_is_cached_and_kept(disc):
     assert v.status is Status.UNKNOWN and v.maybe_feasible
     assert oracle.feasible_word((1,)) is v
     assert oracle.stats["engine_calls"] == 1
+    assert not oracle.known_feasible((1,)) and not oracle.known_infeasible((1,))
     # Unknown counts as feasible: the word stays a state of the abstraction
     model = build_l_complete(disc, oracle, 1)
     assert (1,) in model.states
@@ -195,6 +196,7 @@ def test_engine_sat_is_normalised_cached_and_kept(disc):
     assert v.status is Status.FEASIBLE and v.method is Method.ENGINE
     np.testing.assert_array_equal(v.witness, [0.6, -0.8])
     assert oracle.feasible_word((1,)) is v and engine.calls == 1
+    assert oracle.known_feasible((1,))
     np.testing.assert_array_equal(oracle.witnesses((1,)), [v.witness])
     assert (1,) in build_l_complete(disc, oracle, 1).states
 

@@ -208,6 +208,16 @@ def test_attracting_bound():
     assert attracting_scc_bound(g) == Fraction(3)
 
 
+def test_an_attracting_scc_without_a_feasible_state_bounds_nothing():
+    # {a, b} and {c} both attract, and {a, b} has the smaller maximum mean;
+    # when neither a nor b is known to hold a state, only {c} counts
+    g = WeightedGraph(labels=("a", "b", "c"), edges=((0, 1, 2), (1, 0, 2), (2, 2, 5)))
+    assert attracting_scc_bound(g) == 2
+    assert attracting_scc_bound(g, {"c"}.__contains__) == 5
+    assert attracting_scc_bound(g, {"b", "c"}.__contains__) == 2
+    assert attracting_scc_bound(g, lambda label: False) is None
+
+
 def test_int_weights_and_sccs_are_computed_once(monkeypatch):
     g = WeightedGraph(
         labels=(0, 1, 2),
