@@ -299,12 +299,13 @@ def _initial_simplices(n):
     return out
 
 
-def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000, witness_tol=1e-9):
+def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000):
     """Sound branch-and-bound on the unit sphere for n >= 3.
 
     A region is discarded once some constraint is violated across it via the
     Lipschitz bound |x'Px - c'Pc| <= 2||P|| |x - c|; sat is reported from a
-    region center satisfying everything with margin; budget -> unknown.
+    region center satisfying everything with margin WITNESS_TOL; budget ->
+    unknown.
     """
     mats, signs = cone.mats, cone.signs
     lip = 2.0 * np.array([np.linalg.norm(P, 2) for P in mats])
@@ -326,7 +327,7 @@ def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000, witness_tol=1e-9):
         # chord radius of the enclosing spherical cap
         r = max(_norm(v - c) for v in verts)
         m = signs * np.einsum("i,cij,j->c", c, mats, c)
-        if (m > witness_tol).all():
+        if (m > WITNESS_TOL).all():
             return "sat", c
         # whole region violates some constraint
         bound = m + lip * r + slack
@@ -334,7 +335,7 @@ def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000, witness_tol=1e-9):
             continue
         for v in verts:
             mv = signs * np.einsum("i,cij,j->c", v, mats, v)
-            if (mv > witness_tol).all():
+            if (mv > WITNESS_TOL).all():
                 return "sat", v.copy()
         # subdivide along the longest edge
         best = (0, 1)

@@ -29,13 +29,6 @@ def margins(points, mats, signs):
     return _margins(points, mats, signs)
 
 
-def paired_margins(points, mats, signs):
-    """Signed margin of each point on its own form: points (r, n), mats
-    (r, n, n), signs (r,); returns (r,), the diagonal of `margins`."""
-    q = np.einsum("ri,rij,rj->r", points, mats, points)
-    return q * signs
-
-
 # ---------------------------------------------------------------------------
 # min-margin ascent on the unit sphere
 

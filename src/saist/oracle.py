@@ -23,7 +23,8 @@ from .decider import (
 from .petc import DiscretizedSystem
 
 GOLDEN = 0.6180339887498949
-BUDGET = 10_000  # witness-ascent steps per query, shared by its starts
+POOL_SIZE = 512  # seeded sample points on the sphere
+BUDGET = 10_000  # witness-ascent steps per query, shared by its start points
 CHUNK_FORMS = 64  # new forms per batched extension: caps the (pool, forms) margins
 
 
@@ -57,15 +58,11 @@ class FeasibilityVerdict:
 
 class _Cone(NamedTuple):
     """A word's cone with what its children extend: the cumulative matrix
-    and the pool's worst margin per point; then the parent word's witnesses
-    and their worst margins, as scored when the cone was built (None if
-    there were none)."""
+    and the pool's worst margin per point."""
 
     cone: ConeSystem
     phi: np.ndarray
     worst: np.ndarray
-    starts: Optional[np.ndarray] = None
-    start_worst: Optional[np.ndarray] = None
 
 
 def _worst(pts, mats, signs):
@@ -92,32 +89,31 @@ class ConeOracle:
     :class:`saist.arcs.ArcOracle`.  Explicit cones, 2-D ones included, such
     as those of `epsilon_inflation_empty`, always come here.
 
-    A cone has one path to its verdict: the point pool, then for n >= 3 an
-    emptiness certificate, then for n >= 4 a witness ascent, then the
-    engine.  The first verdict for a word, Unknown included, is cached and
-    returned from then on.  `feasible_words` decides a batch of words, such
-    as one level of an abstraction, in order: it first builds the cones of
-    the uncached ones a chunk at a time, each word's cone its parent's plus
-    one letter's forms, in one batched step per level with the pool
-    evaluated on the new forms only and the parents' witnesses scored in
-    one gathered evaluation; for n >= 3 it then certifies every cone the
-    pool misses in one lockstep descent (`s_procedure_certificates`); then
-    each word goes through `feasible_word`, which builds a lone word's cone
-    as a batch of one, and `feasible`, which takes the batch's certificate
-    and certifies a cone from outside a batch, such as an explicit one, as
-    a batch of one.  The parents kept
-    are the words passed to the last `retain`, plus the feasible words
-    decided since.  `engine` is anything with
+    A cone has one path to its verdict, and the verdict is a function of
+    the cone alone: the seeded point pool, then for n >= 3 an emptiness
+    certificate, then for n >= 4 a witness ascent from the best pool
+    points, then the engine.  The first verdict for a word, Unknown
+    included, is cached and returned from then on.  `feasible_words`
+    decides a batch of words, such as one level of an abstraction: it
+    builds the cones of the uncached ones a chunk at a time, each word's
+    cone its parent's plus one letter's forms, in one batched step per
+    level with the pool evaluated on the new forms only; for n >= 3 it
+    certifies every cone the pool misses in one lockstep descent
+    (`s_procedure_certificates`); then each word, in order, goes through
+    `feasible_word`, which builds a lone word's cone as a batch of one,
+    and `feasible`, which takes the batch's certificate and certifies a
+    cone from outside a batch, such as an explicit one, as a batch of one.
+    The parents kept are the words passed to the last `retain`, plus the
+    feasible words decided since.  `engine` is anything with
     ``check(cone) -> ('sat'|'unsat'|'unknown', witness)``; the default is
     :class:`saist.decider.BuiltinDecider`.
     """
 
-    def __init__(self, disc: DiscretizedSystem, engine=None, seed=0, pool_size=512):
+    def __init__(self, disc: DiscretizedSystem, engine=None, seed=0):
         self.disc = disc
         self.engine = BuiltinDecider() if engine is None else engine
-        self.pool = _unit_pool(disc.n, pool_size, seed)
+        self.pool = _unit_pool(disc.n, POOL_SIZE, seed)
         self._verdicts = {}
-        self._witnesses = {}
         n = disc.n
         root = ConeSystem._of((), np.empty((0, n, n)), np.empty(0))
         self._root = _Cone(root, np.eye(n), _worst(self.pool, root.mats, root.signs))
@@ -129,49 +125,28 @@ class ConeOracle:
     def alphabet(self):
         return range(1, self.disc.kbar + 1)
 
-    def witnesses(self, word):
-        return self._witnesses.get(tuple(word), [])
-
-    def _record_witness(self, word, x):
-        self._witnesses.setdefault(tuple(word), []).append(np.asarray(x, dtype=float))
-
     def _pool(self, cone: ConeSystem):
-        """The pool's worst margins on the cone, then the parent word's
-        witnesses and their worst margins (None and None if it has none)."""
+        """The pool's worst margin per point on the cone: kept from its
+        build if the oracle built it, else evaluated."""
         memo = self._memo.get(cone.word)
-        kept = memo is not None and memo.cone is cone
-        worst = memo.worst if kept else _worst(self.pool, cone.mats, cone.signs)
-        ws = self.witnesses(cone.word[:-1])
-        if not ws:
-            return worst, None, None
-        if kept and memo.starts is not None and len(memo.starts) == len(ws):
-            return worst, memo.starts, memo.start_worst
-        # a cone built elsewhere, or witnesses recorded since it was built
-        starts = np.vstack(ws)
-        return worst, starts, _worst(starts, cone.mats, cone.signs)
+        if memo is not None and memo.cone is cone:
+            return memo.worst
+        return _worst(self.pool, cone.mats, cone.signs)
 
-    def _pool_hit(self, worst, starts, start_worst):
-        """The point with the largest worst margin, normalised, if that
-        margin clears WITNESS_TOL, else None: the first maximum, pool points
-        before witnesses."""
+    def _pool_hit(self, worst):
+        """The pool point with the largest worst margin, normalised, if that
+        margin clears WITNESS_TOL, else None; the first such point on a tie."""
         best = int(np.argmax(worst))
-        x, top = self.pool[best], worst[best]
-        if starts is not None:
-            j = int(np.argmax(start_worst))
-            if start_worst[j] > top:
-                x, top = starts[j], start_worst[j]
-        return x / np.linalg.norm(x) if top > WITNESS_TOL else None
+        x = self.pool[best]
+        return x / np.linalg.norm(x) if worst[best] > WITNESS_TOL else None
 
-    def _ascend(self, cone, worst, starts, start_worst):
-        """Locally improve the most promising points; a witness or None."""
-        pts = self.pool
-        if starts is not None:
-            pts, worst = np.vstack([pts, starts]), np.concatenate([worst, start_worst])
+    def _ascend(self, cone, worst):
+        """Locally improve the 8 best pool points; a witness or None."""
         order = np.argsort(worst)[::-1][:8]
         steps = max(20, BUDGET // max(1, len(order)))
         for i in order:
             x, mm = kernels.min_margin_ascent(
-                pts[i], cone.mats, cone.signs, steps=steps, tol=WITNESS_TOL
+                self.pool[i], cone.mats, cone.signs, steps=steps, tol=WITNESS_TOL
             )
             if mm > WITNESS_TOL:
                 return x / np.linalg.norm(x)
@@ -179,8 +154,6 @@ class ConeOracle:
 
     def _store(self, key, v):
         self._verdicts[key] = v
-        if v.is_feasible:
-            self._record_witness(key[0], v.witness)
         return v
 
     def _sampled(self, key, x):
@@ -197,8 +170,8 @@ class ConeOracle:
         cached = self._verdicts.get(key)
         if cached is not None:
             return cached
-        pool = self._pool(cone)
-        x = self._pool_hit(*pool)
+        worst = self._pool(cone)
+        x = self._pool_hit(worst)
         if x is not None:
             return self._sampled(key, x)
         if cone.n >= 3:
@@ -212,7 +185,7 @@ class ConeOracle:
                     key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
                 )
         if cone.n >= 4:
-            x = self._ascend(cone, *pool)
+            x = self._ascend(cone, worst)
             if x is not None:
                 return self._sampled(key, x)
         self.stats["engine_calls"] += 1
@@ -233,8 +206,6 @@ class ConeOracle:
         whatever ancestors they miss are built a level at a time, one
         batched `letter_forms` step per level, with the pool evaluated on
         the level's new forms in one einsum; the ancestors are not kept.
-        The parents' witnesses are then scored against each word's full
-        form stack in one gathered evaluation.
         """
         words = [checked_word(self.disc, w) for w in words]
         built = {}
@@ -245,7 +216,6 @@ class ConeOracle:
         for depth in sorted({len(w) for w in built}):
             self._step([w for w in built if len(w) == depth], built)
         self._memo.update((w, built[w]) for w in words if w in built)
-        self._score_starts([w for w in dict.fromkeys(words) if w in built])
         return [self._memo[w] for w in words]
 
     def _step(self, level, built):
@@ -269,30 +239,6 @@ class ConeOracle:
                 phi,
                 np.minimum(parent.worst, margins[lo:hi].min(axis=0)) if count else parent.worst,
             )
-
-    def _score_starts(self, words):
-        """Score each kept word's parent witnesses against the word's full
-        form stack, all pairs in one gathered evaluation."""
-        pairs = [(w, np.vstack(ws)) for w in words if (ws := self.witnesses(w[:-1]))]
-        if not pairs:
-            return
-        stacks = [self._memo[w].cone for w, starts in pairs for _ in starts]
-        sizes = np.array([len(c.signs) for c in stacks])
-        worst = np.full(len(stacks), np.inf)  # a word without forms: no margin
-        if sizes.any():
-            q = kernels.paired_margins(
-                np.repeat(np.concatenate([starts for _, starts in pairs]), sizes, axis=0),
-                np.concatenate([c.mats for c in stacks]),
-                np.concatenate([c.signs for c in stacks]),
-            )
-            nonzero = sizes > 0
-            worst[nonzero] = np.minimum.reduceat(q, (np.cumsum(sizes) - sizes)[nonzero])
-        at = 0
-        for w, starts in pairs:
-            self._memo[w] = self._memo[w]._replace(
-                starts=starts, start_worst=worst[at : at + len(starts)]
-            )
-            at += len(starts)
 
     def known_infeasible(self, word):
         """Whether the word's cone is already decided empty."""
@@ -322,38 +268,26 @@ class ConeOracle:
         return v
 
     def feasible_words(self, words) -> list:
-        """`feasible_word` of each word, in order.  The words are taken in
-        runs in which no word's parent is an undecided word before it, so
-        that a parent's witnesses reach its children's pools as they do
-        word by word.  Before a run is decided, the cones of its uncached
-        words are built a chunk at a time, each chunk adding at most
-        CHUNK_FORMS forms save that it always takes one word, and for n >= 3
-        the words the pool misses are certified in one batch."""
+        """`feasible_word` of each word, in order, after `_prepare` has built
+        the cones of the uncached words and, for n >= 3, certified in one
+        batch those the pool misses.  Each verdict depends on its word's
+        cone alone, so the order of the words changes none of them."""
         words = [tuple(w) for w in words]
-        out, start = [], 0
-        while start < len(words):
-            run, pending = [], set()
-            for w in islice(words, start, None):
-                if w[:-1] in pending:
-                    break
-                run.append(w)
-                if (w, "") not in self._verdicts:
-                    pending.add(w)
-            self._prepare(run)
-            out += [self.feasible_word(w) for w in run]
-            start += len(run)
-        return out
+        self._prepare(words)
+        return [self.feasible_word(w) for w in words]
 
     def _prepare(self, words):
-        """Build the cones of the uncached words, and certify for n >= 3
-        those the pool misses, all in one `s_procedure_certificates` batch."""
+        """Build the cones of the uncached words a chunk at a time, each
+        chunk adding at most CHUNK_FORMS forms save that it always takes one
+        word, and certify for n >= 3 those the pool misses, all in one
+        `s_procedure_certificates` batch."""
         for i, w in enumerate(words):
             if (w, "") not in self._verdicts and w not in self._memo:
                 self._extend_words(self._chunk(islice(words, i, None)))
         if self.disc.n < 3:
             return
         cones = dict.fromkeys(self._memo[w].cone for w in words if (w, "") not in self._verdicts)
-        misses = [cone for cone in cones if self._pool_hit(*self._pool(cone)) is None]
+        misses = [cone for cone in cones if self._pool_hit(self._pool(cone)) is None]
         self._certificates = dict(zip(misses, s_procedure_certificates(misses)))
 
     def _chunk(self, words):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,15 @@ from saist import (
     ConeOracle,
     ConeSystem,
     PetcSystem,
+    SaistConfig,
     Status,
     build_l_complete,
+    compute_saist,
     discretize,
     relative_error_trigger,
     trace,
 )
-from saist import kernels
+from saist import driver, kernels
 from saist.cones import sigma_cone
 from saist.decider import decide_planar, decide_sphere_bnb
 from saist.oracle import Method
@@ -23,6 +27,13 @@ def system_3d(sigma=0.4):
     A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -1.0, -1.0]])
     BK = np.array([[0.0], [0.0], [1.0]]) @ np.array([[-2.0, -1.0, -1.0]])
     return PetcSystem(A=A, BK=BK, Qtrig=relative_error_trigger(sigma, 3), h=0.1, kbar=20)
+
+
+def system_4d(sigma=0.5):
+    """The companion form of s^4 + s^3 + 2s^2 + 2s + 1 under u = -(x1+x2+x3+x4)."""
+    A = np.array([[0.0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -2, -2, -1]])
+    BK = np.eye(4)[:, 3:] @ np.array([[-1.0, -1.0, -1.0, -1.0]])
+    return PetcSystem(A=A, BK=BK, Qtrig=relative_error_trigger(sigma, 4), h=0.1, kbar=8)
 
 
 class NoEngine:
@@ -197,7 +208,6 @@ def test_engine_sat_is_normalised_cached_and_kept(disc):
     np.testing.assert_array_equal(v.witness, [0.6, -0.8])
     assert oracle.feasible_word((1,)) is v and engine.calls == 1
     assert oracle.known_feasible((1,))
-    np.testing.assert_array_equal(oracle.witnesses((1,)), [v.witness])
     assert (1,) in build_l_complete(disc, oracle, 1).states
 
 
@@ -207,20 +217,26 @@ def test_engine_unsat_is_cached_and_dropped(disc):
     v = oracle.feasible_word((1,))
     assert v.status is Status.INFEASIBLE and v.witness is None and v.method is Method.ENGINE
     assert oracle.feasible_word((1,)) is v and engine.calls == 1
-    assert oracle.known_infeasible((1,)) and not oracle.witnesses((1,))
+    assert oracle.known_infeasible((1,))
     assert (1,) not in build_l_complete(disc, oracle, 1).states
 
 
-def test_pool_point_wins_a_tie_with_a_witness(disc):
-    def sampled(pool_point, witness):
-        oracle = ConeOracle(disc, engine=NoEngine())
-        oracle.pool = np.array([pool_point])
-        oracle._record_witness((1,), np.array(witness))
-        v = oracle.feasible(cone_of([(np.diag([1.0, -1.0]), 1.0)], word=(1, 1)))
-        assert v.method is Method.SAMPLING
-        return v.witness
-
-    # x and -x have bitwise equal margins: the pool point, first, wins the tie
-    np.testing.assert_array_equal(sampled([1.0, 0.0], [-1.0, 0.0]), [1.0, 0.0])
-    # a witness with a strictly larger worst margin (1 > 0.75) is returned
-    np.testing.assert_array_equal(sampled([1.0, 0.5], [-1.0, 0.0]), [-1.0, 0.0])
+def test_4d_saist_samples_certifies_and_ascends(monkeypatch):
+    """A 4-D plant takes every step of the cone path: pool, certificate,
+    witness ascent and engine; each feasible word's witness is in its cone."""
+    oracles, ascents = [], []
+    make = driver.ConeOracle
+    monkeypatch.setattr(driver, "ConeOracle", lambda *a, **k: oracles.append(make(*a, **k)) or oracles[-1])
+    ascend = kernels.min_margin_ascent
+    monkeypatch.setattr(kernels, "min_margin_ascent", lambda *a, **k: ascents.append(1) or ascend(*a, **k))
+    system = system_4d()
+    rep = compute_saist(SaistConfig(system=system, l_max=2))
+    assert rep.status == "BoundsOnly" and (rep.saist_lower, rep.saist_upper) == (1, Fraction(13, 2))
+    assert [it["n_states"] for it in rep.iterations] == [8, 40]
+    (oracle,) = oracles
+    assert ascents and oracle.stats["certified"] > 0 and oracle.stats["engine_calls"] == 2
+    disc = oracle.disc
+    feasible = [(w, v) for (w, _), v in oracle._verdicts.items() if v.is_feasible]
+    assert {v.method for _, v in feasible} == {Method.SAMPLING, Method.ENGINE}
+    for w, v in feasible:
+        assert sigma_cone(disc, w).contains(v.witness)
