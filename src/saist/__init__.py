@@ -31,9 +31,6 @@ from .cycle_verify import (
     cycle_matrix,
     basic_invariant_subspaces,
     verify_cycle,
-    normalized_distance,
-    regularity_check,
-    epsilon_inflation_empty,
 )
 from .driver import (
     SaistConfig,
@@ -79,9 +76,6 @@ __all__ = [
     "cycle_matrix",
     "basic_invariant_subspaces",
     "verify_cycle",
-    "normalized_distance",
-    "regularity_check",
-    "epsilon_inflation_empty",
     "SaistConfig",
     "SaistReport",
     "parse_config",

@@ -26,6 +26,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .cones import checked_word
+
 PI = math.pi
 ARC_SLACK = 1e-9  # radians by which two arcs may miss each other and still meet
 ROUNDING = 1e-15  # relative error, a few float64 ulps, of an endpoint mapped through adj M
@@ -204,9 +206,7 @@ class ArcOracle:
     def feasible_word(self, word) -> ArcVerdict:
         word = tuple(map(int, word))
         if word not in self._verdicts:
-            if not word or min(word) < 1 or max(word) > self.disc.kbar:
-                raise ValueError(f"word must be nonempty over 1..{self.disc.kbar}")
-            self._arcs(word)
+            self._arcs(checked_word(self.disc, word))
         return self._verdicts[word]
 
     def feasible_words(self, words) -> list:

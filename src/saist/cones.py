@@ -23,7 +23,7 @@ class ConeSystem:
     word: tuple
     mats: np.ndarray
     signs: np.ndarray
-    variant: str = ""  # cache discriminator for derived cones (e.g. inflation)
+    variant = ""  # not a field: read by tools that key a cone by (word, variant); always ""
 
     def __post_init__(self):
         mats = np.array(self.mats, dtype=np.float64)
@@ -35,21 +35,20 @@ class ConeSystem:
         asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
         if (asym > SYM_TOL * np.abs(mats).max(axis=(1, 2), initial=1.0)).any():
             raise ConfigError("constraint matrix must be symmetric")
-        self._set(tuple(self.word), 0.5 * (mats + mats.transpose(0, 2, 1)), signs, self.variant)
+        self._set(tuple(self.word), 0.5 * (mats + mats.transpose(0, 2, 1)), signs)
 
-    def _set(self, word, mats, signs, variant):
+    def _set(self, word, mats, signs):
         mats.setflags(write=False)
         signs.setflags(write=False)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "variant", variant)
 
     @classmethod
     def _of(cls, word, mats, signs):
         """The cone of exactly symmetric float64 (mats, signs) stacks, unchecked."""
         cone = object.__new__(cls)
-        cone._set(word, mats, signs, "")
+        cone._set(word, mats, signs)
         return cone
 
     @property
@@ -68,15 +67,6 @@ class ConeSystem:
         return min(
             (s * float(x @ P @ x) for P, s in zip(self.mats, self.signs.tolist())),
             default=np.inf,
-        )
-
-    def inflate(self, epsilon):
-        """Add epsilon*I to every constraint matrix (cone inflation)."""
-        return ConeSystem(
-            self.word,
-            self.mats + epsilon * np.eye(self.n),
-            self.signs,
-            variant=f"{self.variant}+eps{epsilon!r}",
         )
 
 

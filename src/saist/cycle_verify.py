@@ -11,14 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSystem, letter_forms, sigma_cone, span_satisfies
+from .cones import letter_forms, span_satisfies
 from .errors import DefectiveMatrix, RankDeficientBasis, SingularCycleMatrix
-from .oracle import Status
 from .petc import DiscretizedSystem, trace
 
 STRICT_TOL = 1e-10
 MAG_GAP = 1e-9
-MAX_ROT_DEN = 64
 
 
 class Kind(enum.Enum):
@@ -41,8 +39,6 @@ class InvariantSubspace:
 class EigenStructure:
     eigenvalues: tuple  # descending magnitude; ties by real then imag, descending
     eigenvectors: tuple
-    is_mixed: bool
-    is_irrational_rotations: bool
 
 
 def cycle_matrix(disc: DiscretizedSystem, word) -> np.ndarray:
@@ -59,56 +55,16 @@ def cycle_matrix(disc: DiscretizedSystem, word) -> np.ndarray:
     return M
 
 
-def _rotation_is_rational(theta, max_den=MAX_ROT_DEN, tol=1e-9):
-    frac = (theta / (2.0 * np.pi)) % 1.0
-    for q in range(1, max_den + 1):
-        if abs(frac * q - round(frac * q)) <= tol * q:
-            return True
-    return False
-
-
 def eigen_structure(M) -> EigenStructure:
+    """The eigenpairs of M in the order the subspaces are tried."""
     vals, vecs = np.linalg.eig(M)
     order = sorted(
         range(len(vals)),
         key=lambda i: (-abs(vals[i]), -vals[i].real, -vals[i].imag),
     )
-    vals = vals[order]
-    vecs = vecs[:, order]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    # mixedness: each equal-magnitude group is one real value or one conjugate pair
-    is_mixed = True
-    used = [False] * len(vals)
-    groups = []
-    for i in range(len(vals)):
-        if used[i]:
-            continue
-        grp = [i]
-        used[i] = True
-        for j in range(i + 1, len(vals)):
-            if not used[j] and abs(abs(vals[j]) - abs(vals[i])) <= MAG_GAP * scale:
-                grp.append(j)
-                used[j] = True
-        groups.append(grp)
-    for grp in groups:
-        g = [vals[i] for i in grp]
-        if len(g) == 1:
-            if abs(g[0].imag) > MAG_GAP * scale:
-                is_mixed = False  # lone complex eigenvalue of its magnitude
-        elif len(g) == 2:
-            if abs(g[0] - g[1].conjugate()) > 1e-7 * scale:
-                is_mixed = False
-        else:
-            is_mixed = False
-    complex_args = [np.angle(v) for v in vals if v.imag > MAG_GAP * scale]
-    is_irr = bool(complex_args) and all(
-        not _rotation_is_rational(t) for t in complex_args
-    )
     return EigenStructure(
-        eigenvalues=tuple(vals),
-        eigenvectors=tuple(vecs[:, i] for i in range(len(vals))),
-        is_mixed=is_mixed,
-        is_irrational_rotations=is_irr,
+        eigenvalues=tuple(vals[order]),
+        eigenvectors=tuple(vecs[:, i] for i in order),
     )
 
 
@@ -220,75 +176,3 @@ def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyR
                 f"power {q}: containment held but simulation diverged (borderline)"
             )
     return VerifyResult(False, warnings=tuple(warnings))
-
-
-def normalized_distance(V, cone: ConeSystem, budget: int = 2000, seed: int = 0) -> float:
-    """Estimated normalized distance (1 - cosine) between span(V) and the
-    cone's boundary; 1.0 when no boundary point is found.  Advisory only."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= 1e-10:
-        raise RankDeficientBasis("basis matrix is rank deficient")
-    Q, _ = np.linalg.qr(V)
-    if not len(cone.signs):
-        return 1.0
-    n = Q.shape[0]
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((budget, n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    margins = np.array([cone.min_margin(x) for x in pts])
-    inside = pts[margins > 0]
-    outside = pts[margins <= 0]
-    best = 1.0
-    pairs = min(len(inside), len(outside), 64)
-    for a, b in zip(inside[:pairs], outside[:pairs]):
-        lo, hi = a, b
-        for _ in range(40):  # geodesic bisection to the zero-margin surface
-            mid = lo + hi
-            mid /= np.linalg.norm(mid)
-            if cone.min_margin(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        y = hi
-        best = min(best, 1.0 - float(np.linalg.norm(Q.T @ y)))
-    return max(0.0, best)
-
-
-@dataclass(frozen=True)
-class RegularityResult:
-    regular: bool
-    distances: tuple
-
-    def __bool__(self):
-        return self.regular
-
-
-def regularity_check(disc, word, epsilon, budget: int = 2000, seed: int = 0) -> RegularityResult:
-    """Regular when the cycle matrix is numerically well behaved and every
-    invariant subspace keeps estimated distance >= epsilon from the cone
-    chain boundary; Marginal otherwise (advisory)."""
-    word = tuple(int(k) for k in word)
-    M = cycle_matrix(disc, word)
-    es = eigen_structure(M)
-    has_complex = any(abs(v.imag) > MAG_GAP for v in es.eigenvalues)
-    flags_ok = es.is_mixed and (not has_complex or es.is_irrational_rotations)
-    try:
-        subs = basic_invariant_subspaces(M)
-    except DefectiveMatrix:
-        return RegularityResult(False, ())
-    cone = sigma_cone(disc, word)
-    dists = tuple(
-        normalized_distance(s.basis, cone, budget=budget, seed=seed) for s in subs
-    )
-    ok = flags_ok and all(d >= epsilon for d in dists)
-    return RegularityResult(ok, dists)
-
-
-def epsilon_inflation_empty(cone: ConeSystem, epsilon: float, oracle) -> bool:
-    """Whether the epsilon-inflated cone is (exactly) empty."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return oracle.feasible(cone.inflate(epsilon)).status is Status.INFEASIBLE

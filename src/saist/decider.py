@@ -1,21 +1,20 @@
 """Certified feasibility decisions for conjunctions of homogeneous quadratics.
 
-`BuiltinDecider` is the oracle's engine; it decides every cone in process.
-Dimension 1 is direct evaluation.  Dimension 2 intersects the closed arc
-of each form on the projective circle, as `saist.arcs` does for words
-(`decide_planar`).  Dimension 3 restricts every form to the zero ovals of
-the indefinite constraints, finds where each changes sign as quartic roots,
-and evaluates all the roots and arc midpoints in one einsum
-(`decide_sphere_curves`).
-Dimension >= 4, and a 3-D form with a numerically zero eigenvalue, go to a
-Lipschitz branch-and-bound over the unit sphere that answers Unknown at
-budget exhaustion instead of guessing.
+`BuiltinDecider` is the cone oracle's engine; it decides every cone in
+process.  Dimension 1 is direct evaluation.  Dimension 3 restricts every
+form to the zero ovals of the indefinite constraints, finds where each
+changes sign as quartic roots, and evaluates all the roots and arc
+midpoints in one einsum (`decide_sphere_curves`).  Dimension >= 4, and a
+3-D form with a numerically zero eigenvalue, go to a Lipschitz
+branch-and-bound over the unit sphere that answers Unknown at budget
+exhaustion instead of guessing.  Planar cones never come here: 2-D words
+are decided on arcs (`saist.arcs`).
 
 `s_procedure_certificates` proves cones empty without any search, a batch
 at a time in one lockstep descent.  For n >= 3 the oracle tries it after
 its point pool and before the engine, on every pool miss of a batch at
-once, so the order for n = 3 is pool, certificate, curves; n = 2 skips the
-certificate; only n >= 4 runs a witness ascent before the engine.
+once, so the order for n = 3 is pool, certificate, curves; only n >= 4
+runs a witness ascent before the engine.
 """
 
 import math
@@ -38,15 +37,9 @@ STEP_SIZES = 10.0 ** -np.arange(1, 10)  # steps inside from a closure point
 STEP_STARTS = 8  # closure points, best first, that a step inside starts from
 
 
-def _verdict_point(cone, x):
-    return cone.contains(x, tol=0.0)
-
-
 def decide_dim1(cone: ConeSystem):
     x = np.array([1.0])
-    if _verdict_point(cone, x):
-        return "sat", x
-    return "unsat", None
+    return ("sat", x) if cone.contains(x) else ("unsat", None)
 
 
 def _first_in_cone(cone, pts, worst, floor):
@@ -55,28 +48,9 @@ def _first_in_cone(cone, pts, worst, floor):
     for i in np.argsort(-worst, kind="stable"):
         if worst[i] < floor:
             break
-        if _verdict_point(cone, pts[i]):
+        if cone.contains(pts[i]):
             return pts[i]
     return None
-
-
-def decide_planar(cone: ConeSystem):
-    """Decision for n = 2 on arcs of the projective circle.
-
-    Each form holds, closed, on one arc (`saist.arcs.form_arc`), so the
-    closure of the cone is their intersection.  Empty: unsat.  Else the
-    midpoint of the widest arc is the witness if the cone contains it, and
-    the answer is unknown if not, since then the set may be boundary only.
-    """
-    from .arcs import FULL, form_arc, intersect, widest_midpoint  # so `import saist` loads no arcs
-
-    arcs = FULL
-    for P, s in zip(cone.mats.tolist(), cone.signs.tolist()):
-        arcs = intersect(arcs, form_arc(P, s))
-    if not arcs:
-        return "unsat", None
-    x = widest_midpoint(arcs)
-    return ("sat", x) if _verdict_point(cone, x) else ("unknown", None)
 
 
 def _ovals(lam, vec):
@@ -369,8 +343,6 @@ class BuiltinDecider:
     def check(self, cone: ConeSystem):
         if cone.n == 1:
             return decide_dim1(cone)
-        if cone.n == 2:
-            return decide_planar(cone)
         if cone.n == 3:
             return decide_sphere_curves(cone, max_regions=self.max_regions)
         return decide_sphere_bnb(cone, max_regions=self.max_regions)

@@ -1,8 +1,7 @@
 """Feasibility oracle for sigma-cones: seeded sampling first, exact decisions second.
 
-`compute_saist` decides the words of plants with n != 2 here; planar
-plants are decided on arcs (`saist.arcs`).  The 2-D pool and engine serve
-explicit cones.
+It decides the words of plants with n != 2; planar plants are decided on
+arcs (`saist.arcs`), and this oracle refuses them.
 """
 
 import enum
@@ -22,7 +21,6 @@ from .decider import (
 )
 from .petc import DiscretizedSystem
 
-GOLDEN = 0.6180339887498949
 POOL_SIZE = 512  # seeded sample points on the sphere
 BUDGET = 10_000  # witness-ascent steps per query, shared by its start points
 CHUNK_FORMS = 64  # new forms per batched extension: caps the (pool, forms) margins
@@ -73,27 +71,22 @@ def _worst(pts, mats, signs):
 
 
 def _unit_pool(n, size, seed):
-    if n == 2:
-        # golden-angle sequence on the projective circle: low discrepancy
-        t = (np.arange(size) * GOLDEN * np.pi) % np.pi
-        return np.column_stack([np.cos(t), np.sin(t)])
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((size, n))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 class ConeOracle:
-    """Decides sigma-cone nonemptiness for one discretized PETC system.
-
-    `compute_saist` uses it for n != 2; every planar plant goes to
-    :class:`saist.arcs.ArcOracle`.  Explicit cones, 2-D ones included, such
-    as those of `epsilon_inflation_empty`, always come here.
+    """Decides sigma-cone nonemptiness for one discretized PETC system
+    with n != 2; a planar plant raises ValueError, since every one goes to
+    :class:`saist.arcs.ArcOracle`.
 
     A cone has one path to its verdict, and the verdict is a function of
     the cone alone: the seeded point pool, then for n >= 3 an emptiness
     certificate, then for n >= 4 a witness ascent from the best pool
-    points, then the engine.  The first verdict for a word, Unknown
-    included, is cached and returned from then on.  `feasible_words`
+    points, then the engine.  `feasible_word` caches the first verdict for
+    a word, Unknown included, and returns it from then on; `feasible`
+    decides the cone it is given and caches nothing.  `feasible_words`
     decides a batch of words, such as one level of an abstraction: it
     builds the cones of the uncached ones a chunk at a time, each word's
     cone its parent's plus one letter's forms, in one batched step per
@@ -110,6 +103,8 @@ class ConeOracle:
     """
 
     def __init__(self, disc: DiscretizedSystem, engine=None, seed=0):
+        if disc.n == 2:
+            raise ValueError("planar plants are decided on arcs (saist.arcs.ArcOracle)")
         self.disc = disc
         self.engine = BuiltinDecider() if engine is None else engine
         self.pool = _unit_pool(disc.n, POOL_SIZE, seed)
@@ -152,28 +147,20 @@ class ConeOracle:
                 return x / np.linalg.norm(x)
         return None
 
-    def _store(self, key, v):
-        self._verdicts[key] = v
-        return v
-
-    def _sampled(self, key, x):
+    def _sampled(self, x):
         self.stats["sampling_hits"] += 1
-        return self._store(key, FeasibilityVerdict(Status.FEASIBLE, x, Method.SAMPLING))
+        return FeasibilityVerdict(Status.FEASIBLE, x, Method.SAMPLING)
 
     def feasible(self, cone: ConeSystem) -> FeasibilityVerdict:
-        """The cached verdict, if any.  Else the pool; then, for n >= 3, an
-        S-procedure emptiness certificate, the one `feasible_words` found
+        """The cone's verdict, decided afresh: the pool; then, for n >= 3,
+        an S-procedure emptiness certificate, the one `feasible_words` found
         for the cone's batch or else one of its own; then, for n >= 4, a
         witness ascent; then the engine, which decides n <= 3 on curves."""
-        key = (tuple(cone.word), cone.variant)
         self.stats["queries"] += 1
-        cached = self._verdicts.get(key)
-        if cached is not None:
-            return cached
         worst = self._pool(cone)
         x = self._pool_hit(worst)
         if x is not None:
-            return self._sampled(key, x)
+            return self._sampled(x)
         if cone.n >= 3:
             if cone in self._certificates:
                 tau = self._certificates.pop(cone)
@@ -181,23 +168,19 @@ class ConeOracle:
                 tau = s_procedure_certificate(cone)
             if tau is not None:
                 self.stats["certified"] += 1
-                return self._store(
-                    key, FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
-                )
+                return FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
         if cone.n >= 4:
             x = self._ascend(cone, worst)
             if x is not None:
-                return self._sampled(key, x)
+                return self._sampled(x)
         self.stats["engine_calls"] += 1
         reply, witness = self.engine.check(cone)
         if reply == "sat":
             w = np.asarray(witness, dtype=float)
-            v = FeasibilityVerdict(Status.FEASIBLE, w / np.linalg.norm(w), Method.ENGINE)
-        elif reply == "unsat":
-            v = FeasibilityVerdict(Status.INFEASIBLE, None, Method.ENGINE)
-        else:
-            v = FeasibilityVerdict(Status.UNKNOWN, None, Method.ENGINE)
-        return self._store(key, v)
+            return FeasibilityVerdict(Status.FEASIBLE, w / np.linalg.norm(w), Method.ENGINE)
+        if reply == "unsat":
+            return FeasibilityVerdict(Status.INFEASIBLE, None, Method.ENGINE)
+        return FeasibilityVerdict(Status.UNKNOWN, None, Method.ENGINE)
 
     def _extend_words(self, words):
         """The cones of `words`, built and kept unless already kept.
@@ -242,12 +225,12 @@ class ConeOracle:
 
     def known_infeasible(self, word):
         """Whether the word's cone is already decided empty."""
-        v = self._verdicts.get((tuple(word), ""))
+        v = self._verdicts.get(tuple(word))
         return v is not None and not v.maybe_feasible
 
     def known_feasible(self, word):
         """Whether the word's cone is already decided FEASIBLE, with a witness."""
-        v = self._verdicts.get((tuple(word), ""))
+        v = self._verdicts.get(tuple(word))
         return v is not None and v.is_feasible
 
     def retain(self, words):
@@ -256,13 +239,14 @@ class ConeOracle:
         self._memo = {w: m for w, m in self._memo.items() if w in words}
 
     def feasible_word(self, word) -> FeasibilityVerdict:
-        """The word's verdict; an unbuilt cone is built as a batch of one."""
+        """The word's cached verdict, else `feasible` of its cone, cached;
+        an unbuilt cone is built as a batch of one."""
         word = tuple(word)
-        cached = self._verdicts.get((word, ""))
+        cached = self._verdicts.get(word)
         if cached is not None:
             return cached
         memo = self._memo.get(word) or self._extend_words([word])[0]
-        v = self.feasible(memo.cone)
+        v = self._verdicts[memo.cone.word] = self.feasible(memo.cone)
         if not v.maybe_feasible:
             del self._memo[memo.cone.word]
         return v
@@ -282,11 +266,11 @@ class ConeOracle:
         word, and certify for n >= 3 those the pool misses, all in one
         `s_procedure_certificates` batch."""
         for i, w in enumerate(words):
-            if (w, "") not in self._verdicts and w not in self._memo:
+            if w not in self._verdicts and w not in self._memo:
                 self._extend_words(self._chunk(islice(words, i, None)))
         if self.disc.n < 3:
             return
-        cones = dict.fromkeys(self._memo[w].cone for w in words if (w, "") not in self._verdicts)
+        cones = dict.fromkeys(self._memo[w].cone for w in words if w not in self._verdicts)
         misses = [cone for cone in cones if self._pool_hit(self._pool(cone)) is None]
         self._certificates = dict(zip(misses, s_procedure_certificates(misses)))
 
@@ -294,7 +278,7 @@ class ConeOracle:
         """The leading words to build: uncached, not kept, CHUNK_FORMS forms."""
         chunk, forms = {}, 0
         for w in words:
-            if w in chunk or (w, "") in self._verdicts or w in self._memo:
+            if w in chunk or w in self._verdicts or w in self._memo:
                 continue
             forms += int(w[-1]) if w else 0  # k forms at most
             if chunk and forms > CHUNK_FORMS:

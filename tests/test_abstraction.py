@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from saist import build_l_complete, discretize, domino_transitions, refine_sac, trace
 from saist.abstraction import mixed_transitions
+from saist.arcs import ArcOracle
 from saist.errors import EmptyRefinement
-from saist.oracle import ConeOracle
 
 from test_petc import system_2d
 
@@ -249,7 +249,7 @@ def disc():
 
 def test_concrete_soundness_windows(disc):
     # every l-window of simulated traces is a state of the l-complete model
-    oracle = ConeOracle(disc)
+    oracle = ArcOracle(disc)
     rng = np.random.default_rng(0)
     for l in (1, 2, 3):
         model = build_l_complete(disc, oracle, l)
@@ -262,8 +262,8 @@ def test_concrete_soundness_windows(disc):
 
 
 def test_non_blocking_and_determinism(disc):
-    o1 = ConeOracle(disc, seed=5)
-    o2 = ConeOracle(disc, seed=5)
+    o1 = ArcOracle(disc)
+    o2 = ArcOracle(disc)
     a = build_l_complete(disc, o1, 3)
     b = build_l_complete(disc, o2, 3)
     assert a.states == b.states and a.transitions == b.transitions
@@ -274,7 +274,7 @@ def test_non_blocking_and_determinism(disc):
 
 
 def test_dot_export(disc):
-    oracle = ConeOracle(disc)
+    oracle = ArcOracle(disc)
     model = build_l_complete(disc, oracle, 1)
     dot = model.to_dot()
     assert dot.startswith("digraph")

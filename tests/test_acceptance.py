@@ -34,11 +34,11 @@ from saist import (
     relative_error_trigger,
     trace,
     build_l_complete,
-    ConeOracle,
     WeightedGraph,
     min_mean_cycle,
     max_mean_cycle,
 )
+from saist.arcs import ArcOracle
 from saist.fixtures import DoublingMap, EqualRunsWord, IrrationalRotation
 
 
@@ -213,7 +213,7 @@ def test_criterion_06_constructive_soundness(reports_2d):
 
 def test_criterion_07_abstraction_soundness():
     disc = discretize(sys_2d(0.3))
-    oracle = ConeOracle(disc, seed=0)
+    oracle = ArcOracle(disc)
     rng = np.random.default_rng(0)
     traces = []
     for _ in range(100):
@@ -233,7 +233,7 @@ def test_criterion_08_monotonicity():
     failures = []
     for sigma in (0.2, 0.5):
         disc = discretize(sys_2d(sigma))
-        oracle = ConeOracle(disc, seed=0)
+        oracle = ArcOracle(disc)
         prev = None
         for l in range(1, 7):
             g = build_l_complete(disc, oracle, l).as_weighted_graph()

@@ -1,6 +1,6 @@
-"""The 2-D arc oracle against the cone oracle, its witnesses, its soundness
-on nearly tangent arcs and on singular letters, the pull-back through the
-adjugate, and which oracle `compute_saist` picks."""
+"""The 2-D arc oracle against a reference oracle on sigma-cones, its
+witnesses, its soundness on nearly tangent arcs and on singular letters, the
+pull-back through the adjugate, and which oracle `compute_saist` picks."""
 
 import math
 import os
@@ -31,16 +31,17 @@ from saist.arcs import (
     ARC_SLACK,
     FULL,
     ArcOracle,
+    ArcVerdict,
     intersect,
     letter_arcs,
     normalized,
     pull_back,
 )
-from saist.cones import ConeSystem, sigma_cone
-from saist.decider import decide_planar
+from saist.cones import sigma_cone
+from saist.errors import ConfigError
 
 from test_acceptance import sys_2d, sys_jet
-from test_curve_decider import arc_form
+from test_curve_decider import arc_form, scalar_point
 from test_oracle import system_3d
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -64,6 +65,24 @@ def arcs_of(disc, word):
     return arcs
 
 
+class ScalarConeOracle:
+    """The reference for planar plants: each word decided on its own
+    sigma-cone by the scalar rule (`scalar_point`), with no arcs, no
+    pull-back and no cache."""
+
+    def __init__(self, disc):
+        self.disc, self.alphabet = disc, range(1, disc.kbar + 1)
+
+    def feasible_word(self, word):
+        return ArcVerdict(scalar_point(sigma_cone(self.disc, word)))
+
+    def feasible_words(self, words):
+        return [self.feasible_word(w) for w in words]
+
+    def retain(self, words):
+        pass
+
+
 def normalized_margin(disc, word, x):
     cone = sigma_cone(disc, word)
     return min(s * float(x @ P @ x) / np.linalg.norm(P) for P, s in zip(cone.mats, cone.signs))
@@ -81,7 +100,7 @@ def test_arc_verdicts_match_the_cone_oracle_on_random_plants(seed, scale, sigma,
     rng = np.random.default_rng(seed)
     A, BK = scale * rng.standard_normal((2, 2)), scale * rng.standard_normal((2, 2))
     disc = discretize(PetcSystem(A=A, BK=BK, Qtrig=relative_error_trigger(sigma, 2), h=h, kbar=kbar))
-    arcs, cones = ArcOracle(disc), ConeOracle(disc)
+    arcs, cones = ArcOracle(disc), ScalarConeOracle(disc)
     words = [tuple(rng.integers(1, kbar + 1, size=rng.integers(1, 7)).tolist()) for _ in range(12)]
     for _ in range(4):  # words some state produces
         x = rng.standard_normal(2)
@@ -103,7 +122,7 @@ def acceptance_plants():
 @pytest.mark.parametrize("plant", acceptance_plants(), ids=["s0.1", "s0.2", "s0.3", "s0.4", "s0.5", "jet"])
 def test_level_sets_and_witnesses_match_the_cone_oracle_to_depth_8(plant):
     disc = discretize(plant)
-    arcs, cones = ArcOracle(disc), ConeOracle(disc)
+    arcs, cones = ArcOracle(disc), ScalarConeOracle(disc)
     by_arcs = by_cones = None
     for l in range(1, 9):
         by_arcs = build_l_complete(disc, arcs, l, prev=by_arcs)
@@ -260,27 +279,20 @@ def test_a_singular_letter_ends_in_bounds(monkeypatch):
     report = compute_saist(SaistConfig(system=sys_2d(0.3), l_max=10))
     assert report.status == "BoundsOnly" and report.l_reached == 10
     assert report.saist_lower <= report.saist_upper
-    # every suffix keeps the kernel point of M(5): looser than the cones, but sound
+    # every suffix keeps the kernel point of M(5): looser than the sigma-cones, but sound
     assert report.iterations[2]["n_states"] == 40
 
 
-def test_a_boundary_only_cone_is_unknown():
-    wedge = np.diag([1.0, -1.0])
-    for forms, signs in [
-        ([wedge, wedge], [1.0, -1.0]),  # x0^2 > x1^2 and x0^2 <= x1^2: the closures meet on the diagonals
-        ([-np.diag([1.0, 0.0])], [1.0]),  # -x0^2 > 0: the closure is x0 = 0
-    ]:
-        assert decide_planar(ConeSystem(word=(1,), mats=forms, signs=signs)) == ("unknown", None)
-    assert decide_planar(ConeSystem(word=(1,), mats=[-np.eye(2)], signs=[1.0])) == ("unsat", None)
-
-
 def test_bad_plants_and_words_are_refused():
+    planar, spatial = discretize(sys_2d(0.3)), discretize(system_3d())
     with pytest.raises(ValueError):
-        ArcOracle(discretize(system_3d()))
-    oracle = ArcOracle(discretize(sys_2d(0.3)))
-    for word in [(), (0,), (1, 21)]:
-        with pytest.raises(ValueError):
-            oracle.feasible_word(word)
+        ArcOracle(spatial)
+    with pytest.raises(ValueError):
+        ConeOracle(planar)
+    for oracle in (ArcOracle(planar), ConeOracle(spatial)):  # both have kbar = 20
+        for word in [(), (0,), (1, 21)]:
+            with pytest.raises(ConfigError):
+                oracle.feasible_word(word)
 
 
 def test_import_saist_loads_no_arcs():
@@ -302,7 +314,7 @@ def test_selection_follows_the_plant():
 
 def test_a_missing_suffix_is_built_recursively_and_counted():
     disc = discretize(sys_2d(0.5))
-    arcs, cones = ArcOracle(disc), ConeOracle(disc)
+    arcs, cones = ArcOracle(disc), ScalarConeOracle(disc)
     word = trace(disc, np.array([1.0, 0.0]), 6)
     assert arcs.feasible_word(word).is_feasible
     assert arcs.stats["arc_words"] == 6  # the word and its five proper suffixes

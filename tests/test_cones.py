@@ -71,14 +71,6 @@ def test_min_margin_and_arrays(disc):
     assert cone.min_margin(x) == pytest.approx(margins.min())
 
 
-def test_inflate_changes_margins():
-    c = ConeSystem(word=(1,), mats=[-np.eye(2)], signs=[1.0])
-    x = np.array([1.0, 0.0])
-    assert c.inflate(2.0).min_margin(x) == pytest.approx(1.0)
-    assert c.inflate(0.5).min_margin(x) == pytest.approx(-0.5)
-    assert c.inflate(0.5).variant != c.variant
-
-
 def test_subspace_contained_matches_sampling():
     rng = np.random.default_rng(5)
     for trial in range(30):

@@ -1,5 +1,5 @@
-"""The n <= 3 deciders: the vectorised planar decider against the scalar rule
-it replaced, and the 3-D curve decider against the branch-and-bound."""
+"""The n <= 3 rules: the planar arc rule against the scalar rule it
+replaced, and the 3-D curve decider against the branch-and-bound."""
 
 import math
 
@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from saist import ConeOracle, ConeSystem, Status, discretize
 from saist import decider, kernels
+from saist.arcs import widest_midpoint
 from saist.decider import (
     WITNESS_TOL,
     BuiltinDecider,
-    decide_planar,
     decide_sphere_bnb,
     decide_sphere_curves,
 )
 
 from test_certificate import cone_containing_a_point, cone_with_a_certificate, random_forms
-from test_oracle import system_3d
+from test_oracle import planar_arcs, system_3d
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 SIGNS = st.sampled_from([1.0, -1.0])
@@ -28,9 +28,10 @@ def cone(forms, signs):
     return ConeSystem(word=(1,), mats=forms, signs=signs)
 
 
-def scalar_planar(cone):
+def scalar_point(cone):
     """The planar rule before vectorisation: every constraint's roots, sorted,
-    then the arc midpoints, each tried in turn with `cone.contains`."""
+    then the arc midpoints, each tried in turn with `cone.contains`; the
+    first point of the cone, or None."""
     roots = []
     for P in cone.mats:
         a = 0.5 * (P[0, 0] + P[1, 1])
@@ -55,8 +56,8 @@ def scalar_planar(cone):
     for t in candidates:
         x = np.array([math.cos(t), math.sin(t)])
         if cone.contains(x, tol=0.0):
-            return "sat"
-    return "unsat"
+            return x
+    return None
 
 
 def arc_form(center, half_width, scale=1.0):
@@ -67,10 +68,10 @@ def arc_form(center, half_width, scale=1.0):
 
 
 def assert_planar_matches(c):
-    reply, x = decide_planar(c)
-    assert reply == scalar_planar(c)
-    if reply == "sat":
-        assert c.contains(x)
+    arcs = planar_arcs(c)
+    assert bool(arcs) == (scalar_point(c) is not None)
+    if arcs:
+        assert c.contains(widest_midpoint(arcs))
 
 
 @SETTINGS
@@ -101,14 +102,13 @@ def test_planar_matches_the_scalar_rule_on_nearly_tangent_cones(
         P2, signs[1] = -P2, -1.0
     c = cone([P1, P2], signs)
     assert_planar_matches(c)
-    assert decide_planar(c)[0] == ("sat" if overlap else "unsat")
+    assert bool(planar_arcs(c)) == overlap
 
 
 def test_planar_witness_has_the_largest_worst_margin():
-    # the cone x0^2 > x1^2 contains the whole arc |t| < pi/4; the first
-    # candidate is its boundary root, the best one its midpoint t = 0
-    reply, x = decide_planar(cone([np.diag([1.0, -1.0])], [1.0]))
-    assert reply == "sat"
+    # the cone x0^2 > x1^2 is the arc |t| < pi/4; its ends are roots of
+    # the form, its point of largest margin the midpoint t = 0
+    x = widest_midpoint(planar_arcs(cone([np.diag([1.0, -1.0])], [1.0])))
     np.testing.assert_allclose(np.abs(x), [1.0, 0.0], atol=1e-12)
 
 
@@ -184,6 +184,13 @@ def test_curves_step_inside_a_thin_cone():
     c = cone([P], [1.0])
     reply, x = decide_sphere_curves(c)
     assert reply == "sat" and c.min_margin(x) > WITNESS_TOL
+
+
+def test_a_boundary_only_cone_is_unknown():
+    # x0^2 > x1^2 + x2^2 and x0^2 <= x1^2 + x2^2: the closures meet on a circular cone
+    round_cone = np.diag([1.0, -1.0, -1.0])
+    assert decide_sphere_curves(cone([round_cone, round_cone], [1.0, -1.0])) == ("unknown", None)
+    assert decide_sphere_curves(cone([-np.eye(3)], [1.0])) == ("unsat", None)
 
 
 def test_singular_form_falls_back_to_bnb(monkeypatch):

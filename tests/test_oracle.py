@@ -15,9 +15,11 @@ from saist import (
     relative_error_trigger,
     trace,
 )
-from saist import driver, kernels
+from saist import decider, driver, kernels
+from saist import oracle as oracle_module
+from saist.arcs import FULL, form_arc, intersect, widest_midpoint
 from saist.cones import sigma_cone
-from saist.decider import decide_planar, decide_sphere_bnb
+from saist.decider import decide_sphere_bnb
 from saist.oracle import Method
 
 from test_petc import system_2d
@@ -61,21 +63,27 @@ def cone_of(mats_signs, word=(1,)):
     )
 
 
+def planar_arcs(cone):
+    """The closure of a 2-D cone as an arc set: each form's closed arc,
+    intersected, the rule by which `letter_arcs` builds R(k)."""
+    arcs = FULL
+    for P, s in zip(cone.mats.tolist(), cone.signs.tolist()):
+        arcs = intersect(arcs, form_arc(P, s))
+    return arcs
+
+
 def test_planar_decider_exact_cases():
-    sat, x = decide_planar(cone_of([(np.diag([1.0, -1.0]), 1.0)]))
-    assert sat == "sat" and abs(x[0]) > abs(x[1])
-    unsat, _ = decide_planar(cone_of([(-np.eye(2), 1.0)]))
-    assert unsat == "unsat"
+    x = widest_midpoint(planar_arcs(cone_of([(np.diag([1.0, -1.0]), 1.0)])))
+    assert abs(x[0]) > abs(x[1])
+    assert planar_arcs(cone_of([(-np.eye(2), 1.0)])) == ()
     # thin wedge: two rotated half-plane pairs with a narrow intersection
     t = 0.01
     c, s = np.cos(t), np.sin(t)
     R = np.array([[c, -s], [s, c]])
     P1 = np.diag([1.0, -1.0])
     P2 = R @ P1 @ R.T
-    sat2, w = decide_planar(
-        cone_of([(P1, 1.0), (-P2, -1.0)])
-    )
-    assert sat2 == "sat"
+    wedge = cone_of([(P1, 1.0), (-P2, -1.0)])
+    assert wedge.contains(widest_midpoint(planar_arcs(wedge)))
 
 
 def test_planar_decider_agrees_with_dense_sampling():
@@ -90,17 +98,16 @@ def test_planar_decider_agrees_with_dense_sampling():
             sign = 1.0 if rng.random() < 0.5 else -1.0
             cons.append((P, sign))
         cone = cone_of(cons)
-        reply, x = decide_planar(cone)
+        arcs = planar_arcs(cone)
         vals = np.ones(len(pts), dtype=bool)
         for P, sign in cons:
             q = np.einsum("pi,ij,pj->p", pts, P, pts)
             vals &= (q > 1e-9) if sign > 0 else (q <= 0)
         sampled = bool(vals.any())
-        if reply == "sat":
-            # the decider may find measure-zero arcs that sampling misses,
-            # but its witness must lie in the cone
-            assert cone.contains(x)
-        else:
+        # the closed arcs may hold pieces too thin to sample, or boundary
+        # points only; unless the cone holds their widest midpoint, sampling
+        # must find nothing
+        if not (arcs and cone.contains(widest_midpoint(arcs))):
             assert not sampled
 
 
@@ -126,14 +133,26 @@ def test_bnb_budget_unknown():
 
 @pytest.fixture(scope="module")
 def disc():
-    return discretize(system_2d())
+    return discretize(system_3d())
+
+
+@pytest.fixture
+def no_certificate(monkeypatch):
+    """Every certificate fails, so a pool miss reaches the engine."""
+    monkeypatch.setattr(oracle_module, "s_procedure_certificates", lambda cones: [None] * len(cones))
+    monkeypatch.setattr(oracle_module, "s_procedure_certificate", lambda cone: None)
+
+
+def test_a_planar_plant_is_refused():
+    with pytest.raises(ValueError):
+        ConeOracle(discretize(system_2d()))
 
 
 def test_oracle_feasible_words_have_witnesses(disc):
     oracle = ConeOracle(disc)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        x = rng.standard_normal(2)
+        x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
         w = trace(disc, x, 2)
         v = oracle.feasible_word(w)
@@ -142,19 +161,31 @@ def test_oracle_feasible_words_have_witnesses(disc):
 
 
 def test_oracle_exact_infeasible(disc):
+    oracle = ConeOracle(disc, engine=NoEngine())
+    empty = cone_of([(-np.eye(3), 1.0)])
+    assert oracle.feasible(empty).status is Status.INFEASIBLE
+    # an explicit cone is decided afresh each time and cached under no word
+    assert oracle.feasible(empty).status is Status.INFEASIBLE
+    assert oracle.stats["queries"] == oracle.stats["certified"] == 2
+    assert not oracle._verdicts
+
+
+def test_an_explicit_cone_leaves_the_word_cache_alone(disc):
     oracle = ConeOracle(disc)
-    empty = cone_of([(-np.eye(2), 1.0)])
-    v = oracle.feasible(empty)
-    assert v.status is Status.INFEASIBLE
-    # cached now; a second query must not call the engine again
-    calls = oracle.stats["engine_calls"]
-    oracle.feasible(empty)
-    assert oracle.stats["engine_calls"] == calls
+    empty = cone_of(
+        [(np.diag([1.0, -1.0, -1.0]), 1.0), (np.diag([-1.0, 1.0, -2.0]), 1.0), (np.diag([0.5, 0.5, 3.0]), -1.0)],
+        word=(3,),
+    )
+    assert oracle.feasible(empty).status is Status.INFEASIBLE
+    v = oracle.feasible_word((3,))
+    assert v.status is Status.FEASIBLE and sigma_cone(disc, (3,)).contains(v.witness)
+    assert oracle.feasible(empty).status is Status.INFEASIBLE
+    assert oracle.feasible_word((3,)) is v
 
 
-def test_engine_unknown_is_cached_and_kept(disc):
+def test_engine_unknown_is_cached_and_kept(disc, no_certificate):
     oracle = ConeOracle(disc, engine=ScriptedEngine("unknown"))
-    # (1,) misses the pool, so the engine is asked and gives up
+    # (1,) misses the pool and has no certificate, so the engine is asked and gives up
     v = oracle.feasible_word((1,))
     assert v.status is Status.UNKNOWN and v.maybe_feasible
     assert oracle.feasible_word((1,)) is v
@@ -176,6 +207,7 @@ def test_verdict_determinism(disc):
         assert va.status == vb.status
         if va.witness is not None:
             np.testing.assert_array_equal(va.witness, vb.witness)
+    assert a.stats["sampling_hits"] > 0
 
 
 def test_oracle_certifies_empty_3d_cone_without_engine():
@@ -188,30 +220,30 @@ def test_oracle_certifies_empty_3d_cone_without_engine():
     assert oracle.stats["engine_calls"] == 0 and oracle.stats["certified"] == 1
 
 
-def test_exact_2d_query_skips_the_ascent(disc, monkeypatch):
+def test_exact_3d_query_skips_the_ascent(disc, monkeypatch, no_certificate):
     def no_ascent(*args, **kwargs):
-        raise AssertionError("witness ascent run in 2-D")
+        raise AssertionError("witness ascent run in 3-D")
 
     monkeypatch.setattr(kernels, "min_margin_ascent", no_ascent)
     oracle = ConeOracle(disc)
-    v = oracle.feasible(cone_of([(-np.eye(2), 1.0)]))
-    assert v.status is Status.INFEASIBLE
+    v = oracle.feasible(cone_of([(-np.eye(3), 1.0)]))
+    assert v.status is Status.INFEASIBLE and v.method is Method.ENGINE
     assert oracle.stats["engine_calls"] == 1 and oracle.stats["certified"] == 0
 
 
-def test_engine_sat_is_normalised_cached_and_kept(disc):
-    engine = ScriptedEngine("sat", [3.0, -4.0])
+def test_engine_sat_is_normalised_cached_and_kept(disc, no_certificate):
+    engine = ScriptedEngine("sat", [3.0, -4.0, 0.0])
     oracle = ConeOracle(disc, engine=engine)
-    # (1,) misses the pool, so the engine is asked
+    # (1,) misses the pool and has no certificate, so the engine is asked
     v = oracle.feasible_word((1,))
     assert v.status is Status.FEASIBLE and v.method is Method.ENGINE
-    np.testing.assert_array_equal(v.witness, [0.6, -0.8])
+    np.testing.assert_array_equal(v.witness, [0.6, -0.8, 0.0])
     assert oracle.feasible_word((1,)) is v and engine.calls == 1
     assert oracle.known_feasible((1,))
     assert (1,) in build_l_complete(disc, oracle, 1).states
 
 
-def test_engine_unsat_is_cached_and_dropped(disc):
+def test_engine_unsat_is_cached_and_dropped(disc, no_certificate):
     engine = ScriptedEngine("unsat")
     oracle = ConeOracle(disc, engine=engine)
     v = oracle.feasible_word((1,))
@@ -236,7 +268,20 @@ def test_4d_saist_samples_certifies_and_ascends(monkeypatch):
     (oracle,) = oracles
     assert ascents and oracle.stats["certified"] > 0 and oracle.stats["engine_calls"] == 2
     disc = oracle.disc
-    feasible = [(w, v) for (w, _), v in oracle._verdicts.items() if v.is_feasible]
+    feasible = [(w, v) for w, v in oracle._verdicts.items() if v.is_feasible]
     assert {v.method for _, v in feasible} == {Method.SAMPLING, Method.ENGINE}
     for w, v in feasible:
         assert sigma_cone(disc, w).contains(v.witness)
+
+
+def test_1d_saist_runs_through_the_dimension_1_decider(monkeypatch):
+    """A scalar plant's pool misses go to `decide_dim1`; the answer is pinned."""
+    calls = []
+    dim1 = decider.decide_dim1
+    monkeypatch.setattr(decider, "decide_dim1", lambda cone: calls.append(cone.word) or dim1(cone))
+    system = PetcSystem(A=[[0.5]], BK=[[-2.0]], Qtrig=relative_error_trigger(0.5, 1), h=0.1, kbar=10)
+    rep = compute_saist(SaistConfig(system=system, l_max=3))
+    assert rep.status == "Verified" and rep.saist == 3 and rep.sac_word == (3,)
+    assert rep.l_reached == 1 and [it["n_states"] for it in rep.iterations] == [1]
+    assert rep.iterations[-1]["oracle"] == {"sampling_hits": 1, "certified": 0, "engine_calls": 9, "queries": 10}
+    assert len(calls) == 9
