@@ -8,8 +8,10 @@ with every iteration's `oracle` block left out, plus the abstraction's DOT
 text and the verified power; the counters are those `oracle` blocks, in
 order.  The systems are the eight of `perfbench/workloads.py`;
 `--criterion3` adds the 3-D sigma = 0.8, 0.5 and 0.4 targeted runs of
-acceptance criterion 3.  Two checkouts give the same answers when the first
-two columns of their outputs `diff` clean, e.g.
+acceptance criterion 3 and the two bounds-only systems run deep in full
+mode: the jet to l = 120 and 2-D sigma = 0.1 to l = 100.  Two
+checkouts give the same answers when the first two columns of their
+outputs `diff` clean, e.g.
 
     diff <(cut -d' ' -f1,2 old.txt) <(cut -d' ' -f1,2 new.txt)
 
@@ -25,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import PLANT_3D, WORKLOADS, system  # noqa: E402
+from workloads import PLANT_2D, PLANT_3D, PLANT_JET, WORKLOADS, system  # noqa: E402
 
 import saist  # noqa: E402
 
@@ -47,12 +49,15 @@ def systems(criterion3):
     if criterion3:
         for sigma in (0.8, 0.5, 0.4):
             out.append(system(f"3d_s{sigma}_targeted", PLANT_3D, sigma, 10, "targeted", None))
+        out.append(system("jet_deep", PLANT_JET, 0.452, 120, "full", None))
+        out.append(system("2d_s0.1_deep", PLANT_2D, 0.1, 100, "full", None))
     return out
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--criterion3", action="store_true", help="add criterion 3's 3-D systems")
+    ap.add_argument("--criterion3", action="store_true",
+                    help="add criterion 3's 3-D systems and two deep runs")
     args = ap.parse_args()
     for spec in systems(args.criterion3):
         report = saist.compute_saist(saist.parse_config(spec["config"]))

@@ -58,18 +58,19 @@ def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
     """
     if l < 1:
         raise ValueError("depth must be >= 1")
-    alphabet = list(oracle.alphabet)
     if prev is None:
-        level = _feasible(oracle, [(k,) for k in alphabet])
+        level = _feasible(oracle, [(k,) for k in oracle.alphabet])
         depth = 1
     elif prev.depth > l or any(len(w) != prev.depth for w in prev.states):
         raise ValueError(f"prev must be l'-complete for some l' <= {l}")
     else:
         level, depth = list(prev.states), prev.depth
     for _ in range(depth, l):
-        prev_level = set(level)
-        cands = [w + (k,) for w in level for k in alphabet if w[1:] + (k,) in prev_level]
-        level = _feasible(oracle, cands)
+        # the letters that may follow each prefix, ascending as level is sorted
+        last = {}
+        for u in level:
+            last.setdefault(u[:-1], []).append(u[-1])
+        level = _feasible(oracle, [w + (k,) for w in level for k in last.get(w[1:], ())])
     states = tuple(sorted(level))
     oracle.retain(states)
     return TrafficAbstraction(

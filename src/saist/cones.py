@@ -62,13 +62,6 @@ class ConeSystem:
                 return False
         return True
 
-    def min_margin(self, x):
-        """The smallest signed margin; positive means strictly satisfied."""
-        return min(
-            (s * float(x @ P @ x) for P, s in zip(self.mats, self.signs.tolist())),
-            default=np.inf,
-        )
-
 
 def letter_forms(disc: DiscretizedSystem, phis, letters):
     """The forms of one more letter for each of a batch of words: phis

@@ -18,11 +18,7 @@ from .petc import (
     relative_error_trigger,
     simulate,
 )
-from .quantgraph import (
-    WeightedGraph,
-    attracting_scc_bound,
-    min_mean_cycles,
-)
+from .quantgraph import WeightedGraph, attracting_scc_bound, min_mean_cycles
 
 
 @dataclass
@@ -139,9 +135,9 @@ class SaistReport:
         return json.dumps(self.to_json_dict(include_timing), indent=2, sort_keys=True)
 
 
-def _cycle_candidates(graph: WeightedGraph, max_cycles=32):
+def _cycle_candidates(graph: WeightedGraph, floor):
     """Minimum mean cycles grouped by distinct output word (canonical rotation)."""
-    sacs = min_mean_cycles(graph, max_cycles=max_cycles)
+    sacs = min_mean_cycles(graph, floor=floor)
     seen = {}
     for res in sacs:
         outputs = tuple(graph.labels[v][0] for v in res.cycle)
@@ -180,7 +176,7 @@ def _refinement_loop(
         if l > l_max:
             break
         graph = abstraction.as_weighted_graph()
-        cands = _cycle_candidates(graph)
+        cands = _cycle_candidates(graph, lower)  # tried first: the bound rarely rises
         value = cands[0][0].value
         if lower is None or value > lower:
             lower = value

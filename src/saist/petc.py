@@ -5,7 +5,7 @@ everything downstream works in units of checking periods; reports rescale
 by h where physical time is wanted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm

@@ -1,19 +1,26 @@
 """Weighted-digraph algorithms: minimum/maximum mean cycle, SCCs, attractor bound.
 
 Cycle means are exact rationals throughout; weights are scaled to integers
-internally so Karp's recurrence runs on int64 arrays.
+internally so Karp's recurrence runs on integer arrays: int64 where no number
+it builds can overflow, exact Python ints otherwise.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 
 import numpy as np
 
 from .errors import ConfigError
 
-_INF = np.int64(2**62)
+
+def _ints(values, bound):
+    """`values` as an int64 array if no number computed from them exceeds
+    `bound` in magnitude, else as exact Python ints (dtype object): the one
+    overflow rule for every integer array of this module."""
+    return np.asarray(values, dtype=np.int64 if bound < 2**62 else object)
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,7 @@ class WeightedGraph:
     def n(self):
         return len(self.labels)
 
+    @cached_property
     def successors(self):
         adj = [[] for _ in range(self.n)]
         for u, v, _ in self.edges:
@@ -62,9 +70,17 @@ class WeightedGraph:
         return [w.numerator * (den // w.denominator) for _, _, w in self.edges], den
 
     @cached_property
+    def arrays(self):
+        """(src, dst, w, m): the edge ends and `int_weights` as arrays, and the
+        largest weight magnitude."""
+        m = max(map(abs, self.int_weights[0]), default=0)
+        src, dst = np.array([e[:2] for e in self.edges], dtype=np.int64).reshape(-1, 2).T
+        return src, dst, _ints(self.int_weights[0], m), m
+
+    @cached_property
     def sccs(self):
         """The strongly connected components, in reverse topological order."""
-        return tarjan_scc(self.n, self.successors())
+        return tarjan_scc(self.n, self.successors)
 
     @cached_property
     def scc_edges(self):
@@ -153,52 +169,38 @@ def tarjan_scc(n, adj):
 
 def _karp_component(nv, src, dst, w):
     """Exact min cycle mean (as Fraction over the int weights) within one SCC
-    of nv vertices, given its edges (src, dst) and their int64 weights w."""
-    if not len(w):
-        return None
-    d = np.full((nv + 1, nv), _INF, dtype=np.int64)
+    of nv vertices, given its edges (src, dst), at least one, and their
+    integer weights w."""
+    reach = nv * int(np.abs(w).max())  # no walk of at most nv edges weighs more
+    inf = 2 * reach + 1  # marks "no walk": clamped to it each row, it stays above any walk
+    order = np.argsort(dst, kind="stable")  # one run of edges per head
+    starts = np.flatnonzero(np.diff(dst[order], prepend=-1))
+    # the table reaches inf + reach, the cross-multiplied numerators 2 nv reach
+    src, w = src[order], _ints(w[order], (2 * nv + 3) * reach + 1)
+    d = np.full((nv + 1, nv), inf, dtype=w.dtype)  # least k-edge walk weights from 0
     d[0, 0] = 0
     for k in range(1, nv + 1):
-        prev = d[k - 1][src]
-        cand = np.where(prev >= _INF, _INF, prev + w)
-        row = np.full(nv, _INF, dtype=np.int64)
-        np.minimum.at(row, dst, cand)
-        d[k] = row
-    # max over k of (d[nv, v] - d[k, v]) / (nv - k) per v, then min over v,
-    # compared exactly by cross-multiplying numerators and denominators
-    dtype = np.int64 if 2 * nv * nv * int(np.abs(w).max()) < 2**62 else object
-    dn = d[nv].astype(dtype)
-    num = np.zeros(nv, dtype=dtype)
-    den = np.zeros(nv, dtype=np.int64)  # 0: no finite d[k, v] yet
-    for k in range(nv):
-        ok = (d[nv] < _INF) & (d[k] < _INF)
-        cand = dn - d[k].astype(dtype)
-        better = ok & ((den == 0) | (cand * den > num * (nv - k)))
-        num[better] = cand[better]
-        den[better] = nv - k
-    return min((Fraction(int(num[v]), int(den[v])) for v in np.nonzero(den)[0]), default=None)
+        d[k] = np.minimum(np.minimum.reduceat(d[k - 1][src] + w, starts), inf)
+    # min over v of max over k of (d[nv, v] - d[k, v]) / (nv - k), finite entries only
+    ok = (d[:nv] <= reach) & (d[nv] <= reach)
+    num = np.subtract(d[nv], d[:nv], out=d[:nv])  # the table is not needed after this
+    num[~ok] = 0
+    den = np.broadcast_to(np.arange(nv, 0, -1).astype(w.dtype)[:, None], ok.shape)
+    num, den, ok = _max_ratio(num, den, ok)
+    num, den, ok = _max_ratio(-num[:, None], den[:, None], ok[:, None])
+    return Fraction(-int(num[0]), int(den[0]))
 
 
-def _tight_subgraph(graph, weights_int, mu_int):
-    """Edges on shortest-path-tight positions under weights reduced by mu.
-
-    Every cycle of the returned subgraph has mean exactly mu.
-    """
-    p, q = mu_int.numerator, mu_int.denominator
-    n = graph.n
-    src = np.array([u for u, _, _ in graph.edges], dtype=np.int64)
-    dst = np.array([v for _, v, _ in graph.edges], dtype=np.int64)
-    w = np.array([q * wi - p for wi in weights_int], dtype=np.int64)
-    d = np.zeros(n, dtype=np.int64)  # super-source potentials
-    for _ in range(n):
-        cand = d[src] + w
-        nd = d.copy()
-        np.minimum.at(nd, dst, cand)
-        if np.array_equal(nd, d):
-            break
-        d = nd
-    tight = d[src] + w == d[dst]
-    return [(int(u), int(v)) for u, v, t in zip(src, dst, tight) if t]
+def _max_ratio(num, den, ok):
+    """Per column, the largest num / den (den > 0) over the rows where `ok`,
+    and whether there was one: a pairwise tournament of the rows that
+    compares cross-multiplied numerators, so nothing is divided."""
+    while len(num) > 1:
+        h = (len(num) + 1) // 2  # an odd count meets its middle row with itself
+        a, b = slice(0, h), slice(len(num) - h, None)
+        take = ok[b] & (~ok[a] | (num[b] * den[a] > num[a] * den[b]))
+        num, den, ok = (np.where(take, x[b], x[a]) for x in (num, den, ok))
+    return num[0], den[0], ok[0]
 
 
 def _circuits(succ, inside, s):
@@ -267,25 +269,45 @@ def min_mean_cycle(graph: WeightedGraph) -> CycleResult:
     return min_mean_cycles(graph, max_cycles=1)[0]
 
 
-def min_mean_cycles(graph: WeightedGraph, max_cycles=32):
+def min_mean_cycles(graph: WeightedGraph, max_cycles=32, floor=None):
     """All (up to max_cycles) canonical-rotation-distinct minimum mean cycles,
-    in label order."""
-    weights_int, den = graph.int_weights
-    w = np.array(weights_int, dtype=np.int64)
-    mu = None
-    for comp, (src, dst, ids) in zip(graph.sccs, graph.scc_edges):
-        cand = _karp_component(len(comp), src, dst, w[ids])
-        if cand is not None and (mu is None or cand < mu):
-            mu = cand
-    if mu is None:
-        raise ConfigError("graph has no cycle; non-blocking graphs always do")
-    found = set()
-    for cyc in elementary_cycles(graph.n, _tight_subgraph(graph, weights_int, mu)):
-        found.add(canonical_rotation(cyc, graph.labels))
-        if len(found) >= max_cycles:
-            break
+    in label order.  A `floor` is tried first: if no cycle's mean is below it
+    and some cycle's mean equals it, it is the minimum and Karp does not run.
+    """
+    den = graph.int_weights[1]
+    mu = None if floor is None else floor * den
+    found = set() if mu is None else _tight_cycles(graph, mu, max_cycles)
+    if not found:
+        w, parts = graph.arrays[2], zip(graph.sccs, graph.scc_edges)
+        means = [_karp_component(len(c), s, t, w[e]) for c, (s, t, e) in parts if len(e)]
+        if not means:
+            raise ConfigError("graph has no cycle; non-blocking graphs always do")
+        mu = min(means)
+        found = _tight_cycles(graph, mu, max_cycles)
     ordered = sorted(found, key=lambda c: (tuple(_label_key(graph.labels[v]) for v in c), c))
     return [CycleResult(value=mu / den, cycle=c) for c in ordered]
+
+
+def _tight_cycles(graph, mu_int, max_cycles):
+    """Canonical rotations of up to max_cycles cycles of mean mu_int (in
+    int-weight units): Bellman–Ford settles iff no cycle's mean is below it,
+    and then the cycles of the edges it leaves tight are those of mean mu."""
+    p, q = mu_int.numerator, mu_int.denominator
+    src, dst, w, m = graph.arrays
+    # the potentials stay within n + 1 passes of the largest reduced weight
+    w = _ints(w, (graph.n + 2) * (q * m + abs(p))) * q - p
+    d = np.zeros(graph.n, dtype=w.dtype)  # super-source potentials
+    for _ in range(graph.n + 1):
+        nd = d.copy()
+        np.minimum.at(nd, dst, d[src] + w)
+        if np.array_equal(nd, d):
+            break
+        d = nd
+    else:
+        return set()
+    tight = np.flatnonzero(d[src] + w == d[dst])
+    cycles = elementary_cycles(graph.n, zip(src[tight].tolist(), dst[tight].tolist()))
+    return {canonical_rotation(c, graph.labels) for c in islice(cycles, max_cycles)}
 
 
 def max_mean_cycle(graph: WeightedGraph) -> CycleResult:
@@ -302,16 +324,15 @@ def attracting_scc_bound(graph: WeightedGraph, feasible=None) -> Fraction:
     a concrete run from it never leaves the SCC, while an SCC whose states
     may all be empty bounds nothing.  Without it every attracting SCC counts.
     """
-    adj = graph.successors()
-    weights_int, den = graph.int_weights
-    negated = -np.array(weights_int, dtype=np.int64)
+    adj = graph.successors
+    w, den = -graph.arrays[2], graph.int_weights[1]
     best = None
     for comp, (src, dst, ids) in zip(graph.sccs, graph.scc_edges):
         if sum(len(adj[u]) for u in comp) > len(ids):
             continue  # edges escape: not attracting
         if feasible is not None and not any(feasible(graph.labels[u]) for u in comp):
             continue  # no state known to be realised
-        val = -_karp_component(len(comp), src, dst, negated[ids]) / den
+        val = -_karp_component(len(comp), src, dst, w[ids]) / den
         if best is None or val < best:
             best = val
     return best

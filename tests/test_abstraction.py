@@ -89,6 +89,29 @@ def test_mock_l3():
     assert ((2, 2, 2), (2, 2, 2)) in abs3.transitions
 
 
+def test_candidates_come_in_the_order_of_the_suffix_rule():
+    # level j + 1 asks for w + (k,), w in level j's order and k ascending,
+    # exactly where w[1:] + (k,) passed level j; from `prev` as from scratch
+    batches = []
+
+    class Recording(MockOracle):
+        def feasible_words(self, words):
+            batches.append(list(words))
+            return super().feasible_words(words)
+
+    oracle = Recording([(1, 2, 3, 3, 1, 2, 2, 3, 1, 1, 3, 2) * 3, (3,) * 10 + (2, 1) * 8], 3)
+    build_l_complete(None, oracle, 6, prev=build_l_complete(None, oracle, 2))
+    assert batches[0] == [(1,), (2,), (3,)] and len(batches) == 6
+    level = []
+    for asked, answered in zip(batches, batches[1:]):
+        level = [w for w in asked if oracle.feasible_word(w).maybe_feasible]
+        if len(asked[0]) == 2:
+            level.sort()  # the second build starts from prev.states, which are sorted
+        passed = set(level)
+        assert answered == [w + (k,) for w in level for k in (1, 2, 3) if w[1:] + (k,) in passed]
+    assert len(level[0]) == 5
+
+
 def test_domino_direct_enumeration():
     states = ((1, 2), (2, 1), (2, 2))
     got = set(domino_transitions(states))

@@ -8,6 +8,7 @@ from saist import (
     subspace_contained,
     trace,
 )
+from saist import kernels
 from saist.errors import ConfigError, RankDeficientBasis
 from saist.petc import SYM_TOL
 
@@ -68,7 +69,7 @@ def test_min_margin_and_arrays(disc):
     assert mats.shape == (5, 2, 2)
     x = np.array([1.0, 0.5])
     margins = signs * np.einsum("i,cij,j->c", x, mats, x)
-    assert cone.min_margin(x) == pytest.approx(margins.min())
+    assert kernels.margins(x[None], mats, signs).min() == pytest.approx(margins.min())
 
 
 def test_subspace_contained_matches_sampling():
@@ -131,4 +132,5 @@ def test_constructor_validates_forms():
     assert c.n == 2 and list(c.signs) == [-1.0]
     # no forms at all: the whole space, with its real dimension
     free = ConeSystem(word=(), mats=np.empty((0, 3, 3)), signs=[])
-    assert free.n == 3 and free.contains(np.ones(3)) and free.min_margin(np.ones(3)) == np.inf
+    assert free.n == 3 and free.contains(np.ones(3))
+    assert kernels.margins(np.ones((1, 3)), free.mats, free.signs).shape == (1, 0)

@@ -119,7 +119,7 @@ def bnb(c):
 def assert_compatible(c, reply, x, reference):
     assert {reply, reference} != {"sat", "unsat"}
     if reply == "sat":
-        assert c.contains(x) and c.min_margin(x) > WITNESS_TOL
+        assert c.contains(x) and kernels.margins(x[None], c.mats, c.signs).min() > WITNESS_TOL
 
 
 @SETTINGS
@@ -183,7 +183,7 @@ def test_curves_step_inside_a_thin_cone():
     P = Q @ np.diag([1.0, -1e6, -1e6]) @ Q.T
     c = cone([P], [1.0])
     reply, x = decide_sphere_curves(c)
-    assert reply == "sat" and c.min_margin(x) > WITNESS_TOL
+    assert reply == "sat" and kernels.margins(x[None], c.mats, c.signs).min() > WITNESS_TOL
 
 
 def test_a_boundary_only_cone_is_unknown():

@@ -13,7 +13,7 @@ from saist import (
     parse_config,
     simulate,
 )
-from saist import TrafficAbstraction, driver
+from saist import TrafficAbstraction, driver, quantgraph
 from saist.cycle_verify import VerifyResult
 from saist.cli import main as cli_main
 from saist.errors import ConfigError
@@ -102,6 +102,34 @@ def test_repeated_word_is_verified_once(monkeypatch):
     sacs = [tuple(it["sac"]) for it in rep.iterations]
     assert len(sacs) == 6 and len(set(sacs)) < len(sacs)  # the same word at several depths
     assert set(sacs) <= set(calls) and set(calls.values()) == {1}
+
+
+def test_karp_runs_for_the_minimum_only_where_the_value_rises(monkeypatch):
+    # each depth tries the last one's value first; Karp's recurrence runs
+    # for the minimum only where that value is no longer the minimum
+    karp, min_mean_cycles = quantgraph._karp_component, driver.min_mean_cycles
+    per_depth, inside = [], []
+
+    def counting_karp(*args):
+        per_depth[-1] += bool(inside)
+        return karp(*args)
+
+    def counting_min_mean_cycles(*args, **kwargs):
+        per_depth.append(0)
+        inside.append(True)
+        try:
+            return min_mean_cycles(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(quantgraph, "_karp_component", counting_karp)
+    monkeypatch.setattr(driver, "min_mean_cycles", counting_min_mean_cycles)
+    rep = compute_saist(parse_config(config_json(0.3), l_max=30, seed=0))
+    values = [it["value"] for it in rep.iterations]
+    rises = [True] + [b > a for a, b in zip(values, values[1:])]
+    assert rep.verified and rep.saist == Fraction(24, 7) and values == sorted(values)
+    assert len(values) == 26 and sum(rises) == 4  # l = 1, 8, 9 and 26
+    assert [n > 0 for n in per_depth] == rises
 
 
 def test_report_json_shape_and_determinism():

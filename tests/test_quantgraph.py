@@ -1,8 +1,10 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from saist import (
@@ -12,8 +14,9 @@ from saist import (
     min_mean_cycle,
     min_mean_cycles,
 )
+from saist import quantgraph
 from saist.errors import ConfigError
-from saist.quantgraph import canonical_rotation, tarjan_scc
+from saist.quantgraph import _karp_component, canonical_rotation, tarjan_scc
 
 
 def brute_force_cycles(graph):
@@ -82,9 +85,8 @@ def test_min_max_duality():
         assert min_mean_cycle(g).value == -max_mean_cycle(g.negated()).value
 
 
-def test_matches_brute_force_oracle():
-    import numpy as np
-
+def oracle_graphs():
+    """Sixty random graphs of up to 8 vertices with integer weights."""
     rng = np.random.default_rng(42)
     for _ in range(60):
         n = int(rng.integers(2, 9))
@@ -93,13 +95,89 @@ def test_matches_brute_force_oracle():
             (int(rng.integers(0, n)), int(rng.integers(0, n)), Fraction(int(rng.integers(1, 21))))
             for _ in range(2 * n)
         ]
-        g = WeightedGraph(labels=tuple(range(n)), edges=tuple(set(edges + extra)))
+        yield WeightedGraph(labels=tuple(range(n)), edges=tuple(set(edges + extra)))
+
+
+def test_matches_brute_force_oracle():
+    for g in oracle_graphs():
         cycles = brute_force_cycles(g)
         lo = min(m for m, _ in cycles)
         assert min_mean_cycle(g).value == lo
         assert max_mean_cycle(g).value == max(m for m, _ in cycles)
         tight = {canonical_rotation(c, g.labels) for m, c in cycles if m == lo}
         assert {r.cycle for r in min_mean_cycles(g)} == tight
+
+
+def test_a_floor_changes_no_answer_and_skips_karp_only_when_it_is_the_minimum(monkeypatch):
+    karp, calls = quantgraph._karp_component, []
+    monkeypatch.setattr(
+        quantgraph, "_karp_component", lambda *args: calls.append(args) or karp(*args)
+    )
+    for g in oracle_graphs():
+        want = min_mean_cycles(g)
+        mu, top = want[0].value, max_mean_cycle(g).value
+        # below the minimum no cycle is tight; above it some cycle's mean is
+        # negative, even where the floor is itself a cycle's mean (top)
+        floors = [(mu, False), (mu - Fraction(1, 7), True), (mu + Fraction(1, 7), True)]
+        floors += [(top, True)] if top > mu else []
+        for floor, runs_karp in floors:
+            calls.clear()
+            assert min_mean_cycles(g, floor=floor) == want
+            assert bool(calls) == runs_karp
+
+
+def karp_reference(nv, edges):
+    """Karp's theorem term by term, in Python ints and Fractions: the loop
+    that `_karp_component` vectorises."""
+    d = [[0] + [None] * (nv - 1)]
+    for _ in range(nv):
+        row = [None] * nv
+        for u, v, w in edges:
+            if d[-1][u] is not None and (row[v] is None or d[-1][u] + w < row[v]):
+                row[v] = d[-1][u] + w
+        d.append(row)
+    return min(
+        max(Fraction(d[nv][v] - d[k][v], nv - k) for k in range(nv) if d[k][v] is not None)
+        for v in range(nv)
+        if d[nv][v] is not None
+    )
+
+
+def test_karp_matches_the_loop_reference():
+    # weights up to 2**40 run in int64; 2**60 comes in as int64 and needs
+    # Python ints inside; 2**70 comes in as Python ints
+    rnd = random.Random(3)
+    for scale in (20, 2**40, 2**60, 2**70):
+        for _ in range(40):
+            nv = rnd.randint(1, 8)
+            pairs = [(u, (u + 1) % nv) for u in range(nv)]  # a ring: strongly connected
+            pairs += [(rnd.randrange(nv), rnd.randrange(nv)) for _ in range(rnd.randint(0, 2 * nv))]
+            edges = [(u, v, rnd.randint(-scale, scale)) for u, v in pairs]
+            src, dst = (np.array(e, dtype=np.int64) for e in zip(*pairs))
+            w = np.array([e[2] for e in edges], dtype=np.int64 if scale < 2**62 else object)
+            assert _karp_component(nv, src, dst, w) == karp_reference(nv, edges)
+
+
+def test_weights_near_the_int64_limit_stay_exact():
+    # over the product of four primes near 1e6 these weights scale to
+    # integers near 2**62, and walks of a few edges pass 2**63
+    p = (1000003, 1000033, 1000037, 1000039)
+    g = WeightedGraph(
+        labels=tuple(range(4)),
+        edges=(
+            (0, 1, Fraction(3, p[1])),
+            (0, 3, Fraction(3, p[2])),
+            (1, 1, Fraction(-2, p[3])),
+            (1, 2, Fraction(4, p[0])),
+            (2, 3, Fraction(3, p[2])),
+            (3, 0, Fraction(4, p[2])),
+        ),
+    )
+    means = [m for m, _ in brute_force_cycles(g)]
+    assert max(abs(w) for w in g.int_weights[0]) > 2**61
+    assert min_mean_cycle(g).value == min(means) == Fraction(-2, 1000039)
+    assert min_mean_cycles(g, floor=min(means)) == min_mean_cycles(g)
+    assert attracting_scc_bound(g) == max(means)  # one SCC, so it attracts
 
 
 def test_attracting_scc_bound_matches_brute_force():
@@ -233,7 +311,7 @@ def test_int_weights_and_sccs_are_computed_once(monkeypatch):
     before = len(calls)
     attracting_scc_bound(g)
     assert len(calls) == before  # the SCCs min_mean_cycles found are reused
-    assert g.sccs is g.sccs and g.int_weights is g.int_weights
+    assert g.sccs is g.sccs and g.int_weights is g.int_weights and g.successors is g.successors
 
 
 def test_each_scc_gets_exactly_its_own_edges():
