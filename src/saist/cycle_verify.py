@@ -1,8 +1,9 @@
 """Verification of candidate periodic sampling behaviors.
 
 A cycle word verifies when some basic invariant linear subspace of its cycle
-matrix stays inside the chain of per-step cones; a Verified verdict is gated
-by a finite float64 simulation from a witness state.
+matrix M, or of a power M^q where two eigenvalues of M meet, stays inside
+the chain of per-step cones; a Verified verdict is gated by a finite float64
+simulation from a witness state.
 """
 
 import enum
@@ -17,6 +18,7 @@ from .petc import DiscretizedSystem, trace
 
 STRICT_TOL = 1e-10
 MAG_GAP = 1e-9
+MAX_POWER = 12
 
 
 class Kind(enum.Enum):
@@ -70,24 +72,20 @@ def eigen_structure(M) -> EigenStructure:
 
 def basic_invariant_subspaces(M) -> list:
     """Real eigenlines plus one plane per conjugate pair, orthonormal bases,
-    ordered by descending eigenvalue magnitude."""
+    ordered by descending eigenvalue magnitude.  Scale-free: MAG_GAP is
+    relative to the spectral radius, the residual bound to ||M||_2."""
     M = np.asarray(M, dtype=float)
     es = eigen_structure(M)
     if np.linalg.cond(np.column_stack(es.eigenvectors)) > 1e10:
         raise DefectiveMatrix("eigenvector matrix is ill conditioned")
-    scale = max(1.0, float(np.linalg.norm(M, 2)))
+    rho, scale = abs(es.eigenvalues[0]), np.linalg.norm(M, 2)
     out = []
-    seen_pairs = set()
     for lam, v in zip(es.eigenvalues, es.eigenvectors):
-        if abs(lam.imag) <= MAG_GAP * scale:
+        if abs(lam.imag) <= MAG_GAP * rho:
             b = np.real(v)
             b = b / np.linalg.norm(b)
             out.append(InvariantSubspace(b[:, None], Kind.REAL_LINE, complex(lam)))
-        else:
-            key = (round(lam.real, 9), round(abs(lam.imag), 9))
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
+        elif lam.imag > 0:  # the pair's other member is its exact conjugate
             B = np.column_stack([np.real(v), np.imag(v)])
             Q, _ = np.linalg.qr(B)
             out.append(InvariantSubspace(Q, Kind.CONJUGATE_PLANE, complex(lam)))
@@ -147,15 +145,34 @@ def _simulation_confirms(disc, word, sub, repeats=20, seed=0):
     return got == tuple(word) * repeats
 
 
-def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyResult:
-    """Verified iff some invariant subspace survives the cone chain and the
-    float64 simulation gate; falls back to powers of the cycle matrix for
-    rational rotations.  A numerically singular power ends the search with
-    a warning, so a singular cycle is a failed candidate."""
+def _meeting_powers(subs):
+    """The powers q <= MAX_POWER at which two eigenvalues of M (read off its
+    subspaces) meet: their q-th powers differ by at most 2 MAG_GAP rho^q, so a
+    conjugate pair meets where `basic_invariant_subspaces` calls lambda^q
+    real.  A repeated eigenvalue, meeting at q = 1, makes every power count."""
+    lam = [s.eigenvalue for s in subs]
+    lam += [s.eigenvalue.conjugate() for s in subs if s.kind is Kind.CONJUGATE_PLANE]
+    q = np.arange(1, MAX_POWER + 1)
+    p = (np.array(lam) / abs(lam[0]))[None, :] ** q[:, None]
+    close = np.abs(p[:, :, None] - p[:, None, :]) <= 2 * MAG_GAP
+    meets = close.sum(axis=(1, 2)) > len(lam)  # more than the diagonal
+    return set(q[meets | meets[0]].tolist())
+
+
+def verify_cycle(disc: DiscretizedSystem, word, seed=0) -> VerifyResult:
+    """Verified iff some invariant subspace of the cycle matrix M, or of M^q
+    for q <= MAX_POWER, survives the cone chain and the float64 simulation
+    gate.  M^q has a subspace M lacks only where two eigenvalues meet at the
+    q-th power (a conjugate pair turning real, or lambda and -lambda), so only
+    those powers are built, or every power if M is defective.  A numerically
+    singular power ends the search with a warning: the candidate fails."""
     word = tuple(int(k) for k in word)
     forms = _letter_forms(disc, word)
     warnings = []
-    for q in range(1, max_power + 1):
+    powers = range(1, MAX_POWER + 1)  # until M's eigenvalues say which meet
+    for q in range(1, MAX_POWER + 1):
+        if q not in powers:
+            continue
         w_q = word * q
         try:
             Mq = cycle_matrix(disc, w_q)
@@ -167,6 +184,8 @@ def verify_cycle(disc: DiscretizedSystem, word, max_power=12, seed=0) -> VerifyR
         except DefectiveMatrix as e:
             warnings.append(f"power {q}: {e}")
             continue
+        if q == 1:
+            powers = _meeting_powers(subs)
         for sub in subs:
             if not _chain_contained(disc, w_q, sub.basis, forms):
                 continue

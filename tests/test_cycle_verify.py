@@ -207,3 +207,79 @@ def test_a_stack_of_forms_is_decided_as_each_form_alone():
         want = all(subspace_contained(V, Pi, s, 1e-10) for Pi, s in zip(P, signs))
         assert span_satisfies(V, P, signs, 1e-10) == want
     assert span_satisfies(np.zeros((3, 1)), P[:0], signs[:0], 1e-10)
+
+
+def rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def two_letter_disc(M1, N1):
+    """kbar = 2: letter 1 is (M1, N1), letter 2 a contraction by 1/2."""
+    return DiscretizedSystem(
+        M=np.stack([M1, 0.5 * np.eye(2)]), N=np.stack([N1, np.eye(2)]), h=1.0, kbar=2
+    )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_a_scaled_plant_gets_the_verdict_of_the_unscaled_one(scale):
+    # the IST problem is homogeneous: scaling M changes no verdict
+    subs = basic_invariant_subspaces(scale * rotation(0.7))
+    assert [s.kind for s in subs] == [Kind.CONJUGATE_PLANE]
+    disc = two_letter_disc(scale * rotation(0.05), np.diag([1.0, -0.01]))
+    assert not verify_cycle(disc, (1,)).verified
+
+
+def test_a_power_above_one_verifies():
+    # a quarter turn: M has no real line, but M^2 = -0.81 I keeps every line
+    disc = two_letter_disc(0.9 * rotation(np.pi / 2), np.array([[1.0, -2.0], [-2.0, 1.0]]))
+    out = verify_cycle(disc, (1,))
+    assert out.verified and out.power == 2 and out.witness.kind is Kind.REAL_LINE
+
+
+def rule_sweep():
+    rng = np.random.default_rng(4)
+    for r in range(1, 13):
+        for p in range(1, 2 * r):
+            for scale in (1.0, 1e-6):
+                yield scale * rotation(np.pi * p / r)
+    for lam in (0.3, 0.7, 1.0, 2.5):
+        S = rng.standard_normal((3, 3))
+        yield S @ np.diag([lam, -lam, 0.4]) @ np.linalg.inv(S)
+        yield S[:2, :2] @ np.diag([lam, -lam]) @ np.linalg.inv(S[:2, :2])
+    for d in 10.0 ** -np.arange(2, 12):
+        yield np.array([[1.0, 1.0], [0.0, 1.0 + d]])
+        yield np.array([[1.0, 1.0], [-d, 1.0]])  # 1 +- i sqrt(d)
+    for d in (5e-10, 1e-9, 2e-9):  # nearly repeated: eigenvectors drift with q
+        S = rng.standard_normal((3, 3))
+        yield S @ np.diag([1.0, 1.0 + d, 0.3]) @ np.linalg.inv(S)
+    for n in (2, 3):
+        for _ in range(150):
+            yield rng.standard_normal((n, n))
+
+
+def test_the_power_rule_skips_no_power_that_matters():
+    import saist.cycle_verify as cv
+
+    def spanned(sub, subs):
+        return any(
+            s.dim == sub.dim and np.linalg.norm(sub.basis - s.basis @ (s.basis.T @ sub.basis)) < 1e-6
+            for s in subs
+        )
+
+    new_at = set()
+    for M in rule_sweep():
+        try:
+            subs = basic_invariant_subspaces(M)
+        except DefectiveMatrix:
+            continue  # every power is tried
+        powers = cv._meeting_powers(subs)
+        Mq = M
+        for q in range(2, cv.MAX_POWER + 1):
+            Mq = M @ Mq  # the letter product, as cycle_matrix builds it
+            try:
+                new = [s for s in basic_invariant_subspaces(Mq) if not spanned(s, subs)]
+            except DefectiveMatrix:
+                continue
+            assert q in powers or not new, (M, q)
+            new_at |= {q} if new else set()
+    assert {2, 12} <= new_at  # the sweep reaches new subspaces

@@ -168,6 +168,29 @@ def test_targeted_mode_runs_on_2d():
     assert rep.verified and rep.saist == 6
 
 
+def test_a_targeted_run_builds_one_cycle_matrix_per_candidate(monkeypatch):
+    # no candidate of this run has two eigenvalues that meet at a power up to
+    # 12, so none builds M^q for q >= 2; walking every power builds 216
+    # matrices and gives the same report
+    import saist.cycle_verify as cv
+
+    builds, candidates = [], []
+    cycle_matrix, verify_cycle = cv.cycle_matrix, driver.verify_cycle
+    monkeypatch.setattr(cv, "cycle_matrix", lambda disc, w: builds.append(w) or cycle_matrix(disc, w))
+    monkeypatch.setattr(
+        driver, "verify_cycle", lambda disc, w, **kw: candidates.append(w) or verify_cycle(disc, w, **kw)
+    )
+    cfg = parse_config(config_json(0.5), l_max=30, mode="targeted", seed=0)
+    rep = compute_saist(cfg)
+    assert rep.verified and rep.saist == 6 and rep.power == 1
+    assert builds == candidates and len(candidates) == 23
+    builds.clear()
+    monkeypatch.setattr(cv, "_meeting_powers", lambda subs: set(range(1, cv.MAX_POWER + 1)))
+    every = compute_saist(cfg)
+    assert len(builds) == 216
+    assert every.to_json(include_timing=False) == rep.to_json(include_timing=False)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_json(0.5)))
