@@ -1,13 +1,20 @@
-"""Time the numpy kernels on fixed random inputs (best of five calls).
+"""Time the numpy kernels on fixed random inputs, and one level of the 2-D
+arc oracle (best of five calls each).
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from saist import kernels
+from saist import build_l_complete, discretize, kernels, parse_config
+from saist.arcs import ArcOracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def timeit(fn, *args, repeat=5):
@@ -18,6 +25,26 @@ def timeit(fn, *args, repeat=5):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def arc_level(l=20, repeat=5):
+    """The jet's depth-l candidates decided by an ArcOracle that holds its
+    depth-(l - 1) abstraction, built outside the timed call: a fresh oracle
+    per call, so that no call finds the level's verdicts cached."""
+    (spec,) = [s for s in WORKLOADS["planar_full"] if s["name"] == "jet"]
+    disc = discretize(parse_config(spec["config"]).system)
+    best = float("inf")
+    for _ in range(repeat + 1):  # the first call warms up
+        oracle = ArcOracle(disc)
+        level = build_l_complete(disc, oracle, l - 1).states
+        last = {}
+        for u in level:
+            last.setdefault(u[:-1], []).append(u[-1])
+        words = [w + (k,) for w in level for k in last.get(w[1:], ())]
+        t0 = time.perf_counter()
+        oracle.feasible_words(words)
+        best = min(best, time.perf_counter() - t0)
+    return best, len(words)
 
 
 def main():
@@ -40,6 +67,8 @@ def main():
     print(f"ascent         200 steps:                                    {t * 1e3:8.3f} ms")
     t = timeit(kernels.simulate_loop, M, N, x0, 10_000)
     print(f"simulate_loop  10k samples:                                  {t * 1e3:8.3f} ms")
+    t, n_words = arc_level()
+    print(f"arc level      jet, {n_words} depth-20 words:                     {t * 1e3:8.3f} ms")
 
 
 if __name__ == "__main__":

@@ -2,23 +2,34 @@
 
 States are feasible IST words; transitions follow the domino rule (uniform
 length) or its prefix-compatible generalization (mixed lengths after targeted
-refinement).
+refinement).  An abstraction keeps its transitions as (src, dst) index
+arrays into its sorted states, and its graph weighs each edge by the first
+letter of its source, an integer; the word pairs are spelled out only when
+read.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyRefinement
 from .quantgraph import WeightedGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrafficAbstraction:
     """States: lexicographically ordered tuple of IST words (tuples of ints)."""
 
     states: tuple
-    transitions: tuple  # (src word, dst word) pairs
+    edges: tuple  # (src, dst) int64 index arrays into states, in word-pair order
     depth: int
+
+    def __eq__(self, other):
+        if not isinstance(other, TrafficAbstraction):
+            return NotImplemented
+        same = (self.states, self.depth) == (other.states, other.depth)
+        return same and all(map(np.array_equal, self.edges, other.edges))
 
     def output(self, word):
         return word[0]
@@ -27,23 +38,33 @@ class TrafficAbstraction:
     def n_states(self):
         return len(self.states)
 
+    @cached_property
+    def transitions(self) -> tuple:
+        """(src word, dst word) pairs, in `edges` order."""
+        return _word_pairs(self.states, self.edges)
+
     def as_weighted_graph(self) -> WeightedGraph:
         """Simple-WTS form: every edge out of u weighs output(u)."""
-        idx = {w: i for i, w in enumerate(self.states)}
-        weight = {w: Fraction(self.output(w)) for w in self.states}
-        edges = tuple((idx[u], idx[v], weight[u]) for u, v in self.transitions)
-        return WeightedGraph(labels=self.states, edges=edges)
+        src, dst = self.edges
+        outputs = np.array([self.output(w) for w in self.states], dtype=np.int64)
+        return WeightedGraph.from_arrays(self.states, src, dst, outputs[src])
 
     def to_dot(self) -> str:
         lines = ["digraph abstraction {"]
-        idx = {w: i for i, w in enumerate(self.states)}
         for i, w in enumerate(self.states):
             label = ",".join(str(k) for k in w)
             lines.append(f'  s{i} [label="({label})" weight={w[0]}];')
-        for u, v in self.transitions:
-            lines.append(f"  s{idx[u]} -> s{idx[v]};")
+        for u, v in zip(*(ends.tolist() for ends in self.edges)):
+            lines.append(f"  s{u} -> s{v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def abstraction_of(states, depth) -> TrafficAbstraction:
+    """The abstraction on the given states under the prefix-compatible
+    domino rule, which for states of one length is the domino rule."""
+    states = tuple(sorted(states))
+    return TrafficAbstraction(states=states, edges=index_edges(states), depth=depth)
 
 
 def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
@@ -71,11 +92,9 @@ def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
         for u in level:
             last.setdefault(u[:-1], []).append(u[-1])
         level = _feasible(oracle, [w + (k,) for w in level for k in last.get(w[1:], ())])
-    states = tuple(sorted(level))
-    oracle.retain(states)
-    return TrafficAbstraction(
-        states=states, transitions=domino_transitions(states), depth=l
-    )
+    abstraction = abstraction_of(level, l)
+    oracle.retain(abstraction.states)
+    return abstraction
 
 
 def _feasible(oracle, words) -> list:
@@ -83,42 +102,61 @@ def _feasible(oracle, words) -> list:
     return [w for w, v in zip(words, oracle.feasible_words(words)) if v.maybe_feasible]
 
 
+def index_edges(states) -> tuple:
+    """The prefix-compatible domino rule on sorted states as (src, dst)
+    index arrays, in the order of the sorted word pairs that
+    `mixed_transitions` gives: v -> w iff w extends v[1:] or is a proper
+    prefix of it.
+
+    The states that extend a word are consecutive, so one pass over the
+    states maps each v[1:] to the range of its extensions; only states of
+    mixed lengths have proper prefixes of v[1:] among them.
+    """
+    lengths = sorted({len(w) for w in states})
+    block = {}  # prefix -> [first, last + 1] of the states extending it
+    for j in {m - 1 for m in lengths}:
+        for i, w in enumerate(states):
+            if len(w) >= j:
+                block.setdefault(w[:j], [i, 0])[1] = i + 1
+    lo, hi = np.array([block.get(v[1:], (0, 0)) for v in states], dtype=np.int64).reshape(-1, 2).T
+    count = hi - lo
+    src = np.repeat(np.arange(len(states)), count)
+    dst = np.arange(len(src)) + np.repeat(lo - np.cumsum(count) + count, count)
+    if len(lengths) > 1:
+        pos = {w: i for i, w in enumerate(states)}
+        pre = [
+            (i, pos[v[1 : j + 1]])
+            for i, v in enumerate(states)
+            for j in lengths
+            if j < len(v) - 1 and v[1 : j + 1] in pos
+        ]
+        if pre:
+            src, dst = np.concatenate([[src, dst], np.array(pre, dtype=np.int64).T], axis=1)
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
+    return src, dst
+
+
 def domino_transitions(states) -> tuple:
-    """Edges (k·s, s·k') for uniform-length words; complete digraph at l=1."""
+    """Edges (k·s, s·k') for uniform-length words, as sorted word pairs;
+    complete digraph at l=1."""
     states = tuple(states)
     if states and any(len(w) != len(states[0]) for w in states):
         raise ValueError("domino rule needs uniform word length")
-    by_prefix = {}
-    for w in states:
-        by_prefix.setdefault(w[:-1], []).append(w)
-    out = []
-    for v in states:
-        for w in by_prefix.get(v[1:], ()):
-            out.append((v, w))
-    return tuple(sorted(out))
+    return mixed_transitions(states)
 
 
 def mixed_transitions(states) -> tuple:
     """Prefix-compatible domino for mixed-length states: edge (v, w) iff the
-    1-step suffix of v and the word w agree on their common prefix.
+    1-step suffix of v and the word w agree on their common prefix.  The
+    word pairs of `index_edges`, sorted."""
+    states = tuple(sorted(states))
+    return _word_pairs(states, index_edges(states))
 
-    That is, w is a prefix of v[1:] or v[1:] is a prefix of w, so each v
-    looks up the states among the prefixes of v[1:] and the states that
-    extend v[1:], instead of meeting every w.
-    """
-    states = tuple(states)
-    same, extending = {}, {}
-    for w in states:
-        same.setdefault(w, []).append(w)
-        for j in range(len(w) + 1):
-            extending.setdefault(w[:j], []).append(w)
-    out = []
-    for v in states:
-        s = v[1:]
-        for j in range(len(s)):
-            out.extend((v, w) for w in same.get(s[:j], ()))
-        out.extend((v, w) for w in extending.get(s, ()))
-    return tuple(sorted(out))
+
+def _word_pairs(states, edges) -> tuple:
+    """(src, dst) index arrays into `states` as (src word, dst word) pairs."""
+    return tuple(zip(*(map(states.__getitem__, ends.tolist()) for ends in edges)))
 
 
 def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstraction:
@@ -143,10 +181,6 @@ def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstracti
                 f"word {w} has no feasible extension; oracle verdicts are inconsistent"
             )
         new_states.extend(kept)
-    states = tuple(sorted(new_states))
-    oracle.retain(states)
-    return TrafficAbstraction(
-        states=states,
-        transitions=mixed_transitions(states),
-        depth=max(len(w) for w in states),
-    )
+    abstraction = abstraction_of(new_states, max(map(len, new_states)))
+    oracle.retain(abstraction.states)
+    return abstraction

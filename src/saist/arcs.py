@@ -17,16 +17,20 @@ other by at most ARC_SLACK radians still meet in a point.  So a word is
 dropped only when its set is empty by more than rounding, and the
 abstraction keeps every feasible word.
 
+So a word costs one verdict lookup, one pull-back and one intersection: a
+batch of words is validated once, a verdict holds the word's set, and a
+witness direction is computed only when read.
+
 An arc set is a tuple of (lo, hi) pairs, sorted by lo, disjoint, with
 0 <= lo < pi and lo <= hi <= lo + pi; hi may run past pi, over the wrap.
 """
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .cones import checked_word
+from .errors import ConfigError
 
 PI = math.pi
 ARC_SLACK = 1e-9  # radians by which two arcs may miss each other and still meet
@@ -60,6 +64,13 @@ def form_arc(P, sign):
 
 def normalized(pieces):
     """The arc set covered by (lo, hi) pieces of length at most pi."""
+    if len(pieces) < 2:  # most sets are one arc: nothing to sort or merge
+        if not pieces:
+            return ()
+        ((lo, hi),) = pieces
+        if lo >= PI:
+            lo, hi = lo - PI, hi - PI
+        return FULL if hi - lo >= PI else ((lo, hi),)
     pieces = sorted((lo - PI, hi - PI) if lo >= PI else (lo, hi) for lo, hi in pieces)
     out = []
     for lo, hi in pieces:
@@ -142,28 +153,32 @@ def widest_midpoint(arcs):
 
 
 class ArcVerdict(NamedTuple):
-    """A word's verdict: feasible with a witness direction, or infeasible.
-    Never Unknown."""
+    """A word's verdict: its closed arc set, feasible when nonempty.  Never
+    Unknown."""
 
-    witness: Optional[np.ndarray]
+    arcs: tuple
 
     @property
     def is_feasible(self):
-        return self.witness is not None
+        return bool(self.arcs)
 
     maybe_feasible = is_feasible
+
+    @property
+    def witness(self):
+        """A direction in the set, computed when read: `widest_midpoint`."""
+        return widest_midpoint(self.arcs) if self.arcs else None
 
 
 class ArcOracle:
     """Decides the IST words of a planar plant.
 
     A word's set is R(k·s) = R(k) ∩ M(k)^-1 R(s), from its suffix's set,
-    which is the kept set of a word of the previous level in a full build
-    and is built the same way, recursively, when missing.  The sets kept
-    are those of the words passed to the last `retain`, plus those decided
-    since.  Every verdict is cached.  `stats` keeps ConeOracle's counters,
-    all 0 since no cone is decided, and counts the words decided on arcs
-    in `arc_words`.
+    which is the verdict of a word of the previous level in a full build
+    and is decided the same way, recursively, when missing.  Every verdict
+    is cached with its set.  `stats` keeps ConeOracle's counters, all 0
+    since no cone is decided, and counts the words decided on arcs in
+    `arc_words`.
     """
 
     def __init__(self, disc):
@@ -174,7 +189,6 @@ class ArcOracle:
         self._flip = [a * d - b * c < 0.0 for (a, b), (c, d) in disc.M.tolist()]
         N = disc.N.tolist()
         self._letters = [letter_arcs(N, k, disc.kbar) for k in self.alphabet]
-        self._sets = {}
         self._verdicts = {}
         self.stats = {
             "sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0, "arc_words": 0
@@ -184,33 +198,30 @@ class ArcOracle:
     def alphabet(self):
         return range(1, self.disc.kbar + 1)
 
-    def _arcs(self, word):
-        """The word's arc set, from its suffix's.  A newly decided word's
-        verdict is cached, and a nonempty set kept until the next `retain`."""
-        if self.known_infeasible(word):
-            return ()
-        arcs = self._sets.get(word)
-        if arcs is None:
+    def _verdict(self, word):
+        """The word's verdict, cached; an undecided word's set comes from its
+        suffix's."""
+        v = self._verdicts.get(word)
+        if v is None:
             k, suffix = word[0], word[1:]
             arcs = self._letters[k - 1]
             if suffix and arcs:
-                pulled = pull_back(self._arcs(suffix), self._adj[k - 1], self._flip[k - 1])
+                pulled = pull_back(self._verdict(suffix).arcs, self._adj[k - 1], self._flip[k - 1])
                 arcs = intersect(arcs, pulled)
-            if arcs:
-                self._sets[word] = arcs
-            if word not in self._verdicts:
-                self.stats["arc_words"] += 1
-                self._verdicts[word] = ArcVerdict(widest_midpoint(arcs) if arcs else None)
-        return arcs
+            self.stats["arc_words"] += 1
+            v = self._verdicts[word] = ArcVerdict(arcs)
+        return v
 
     def feasible_word(self, word) -> ArcVerdict:
-        word = tuple(map(int, word))
-        if word not in self._verdicts:
-            self._arcs(checked_word(self.disc, word))
-        return self._verdicts[word]
+        return self.feasible_words([tuple(map(int, word))])[0]
 
     def feasible_words(self, words) -> list:
-        return [self.feasible_word(w) for w in words]
+        """The verdicts of a batch of words, tuples of ints, checked once:
+        ConfigError unless every word is nonempty over 1..kbar."""
+        words, kbar = list(words), self.disc.kbar
+        if not all(words) or words and (min(map(min, words)) < 1 or max(map(max, words)) > kbar):
+            raise ConfigError(f"words must be nonempty over 1..{kbar}")
+        return [self._verdict(w) for w in words]
 
     def known_infeasible(self, word):
         """Whether the word is already decided empty."""
@@ -223,5 +234,4 @@ class ArcOracle:
         return v is not None and v.is_feasible
 
     def retain(self, words):
-        """Forget the sets of every word not in `words`."""
-        self._sets = {w: self._sets[w] for w in set(words) if w in self._sets}
+        """Nothing to forget: a word's set is its verdict's."""

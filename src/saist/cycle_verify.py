@@ -100,9 +100,13 @@ def basic_invariant_subspaces(M) -> list:
 
 
 def _letter_forms(disc, word):
-    """Each letter of the word's own forms, unpulled: letter -> (mats, signs)."""
-    eye = np.eye(disc.n)[None]
-    return {k: letter_forms(disc, eye, [k])[1:3] for k in set(word)}
+    """Each letter of the word's own forms, unpulled: letter -> (mats, signs),
+    all from one `letter_forms` batch."""
+    letters = sorted(set(word))
+    eye = np.broadcast_to(np.eye(disc.n), (len(letters), disc.n, disc.n))
+    _, mats, signs, counts = letter_forms(disc, eye, letters)
+    cuts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    return {k: (mats[a:b], signs[a:b]) for k, a, b in zip(letters, cuts, cuts[1:])}
 
 
 def _chain_contained(disc, word, V, forms, tol=STRICT_TOL):

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .abstraction import build_l_complete, domino_transitions, refine_sac, TrafficAbstraction
+from .abstraction import abstraction_of, build_l_complete, refine_sac
 from .cycle_verify import VerifyResult, verify_cycle
 from .errors import ConfigError, CrosscheckFailed
 from .oracle import ConeOracle
@@ -272,10 +272,7 @@ def generic_limavg(provider, l_max: int) -> SaistReport:
         l = 1 if prev is None else prev.depth + 1
         if l > l_max:
             return None
-        states = tuple(sorted(provider.words(l)))
-        return TrafficAbstraction(
-            states=states, transitions=domino_transitions(states), depth=l
-        )
+        return abstraction_of(provider.words(l), l)
 
     return _refinement_loop(
         next_abstraction, lambda word: VerifyResult(provider.verify(word)), l_max, 1.0

@@ -23,59 +23,67 @@ def _ints(values, bound):
     return np.asarray(values, dtype=np.int64 if bound < 2**62 else object)
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
-    """Vertices 0..n-1 with hashable labels and weighted directed edges.
+    """Vertices 0..n-1 with hashable labels and weighted directed edges,
+    kept as index arrays and integer weights over one denominator.
 
     For simple weighted transition systems the weight of every outgoing edge
     of u equals the output of u; that convention is produced by callers, not
-    enforced here.  The integer weights and the SCCs are computed once per
+    enforced here.  The successor lists and the SCCs are computed once per
     graph, on first use.
     """
 
-    labels: tuple
-    edges: tuple  # (src, dst, Fraction)
+    def __init__(self, labels, edges):
+        """Edges as (src, dst, weight) triples, each weight a rational."""
+        weights = [w if type(w) is Fraction else Fraction(w) for _, _, w in edges]
+        den = lcm(*{w.denominator for w in weights}) if weights else 1
+        ints = [w.numerator * (den // w.denominator) for w in weights]
+        src, dst = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T
+        self._init_arrays(labels, src, dst, np.array(ints, dtype=object), den)
 
-    def __post_init__(self):
-        n = len(self.labels)
-        out = [0] * n
-        for u, v, _ in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ConfigError("edge endpoint out of range")
-            out[u] += 1
-        if any(o == 0 for o in out):
+    @classmethod
+    def from_arrays(cls, labels, src, dst, weights, den=1):
+        """The graph of the edges src[e] -> dst[e] weighing weights[e] / den,
+        given as integer arrays."""
+        graph = cls.__new__(cls)
+        graph._init_arrays(labels, src, dst, weights, den)
+        return graph
+
+    def _init_arrays(self, labels, src, dst, weights, den):
+        n = len(labels)
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise ConfigError("edge endpoint out of range")
+        if n and np.bincount(src, minlength=n).min() == 0:
             raise ConfigError("graph must be non-blocking (every vertex needs a successor)")
-        object.__setattr__(
-            self,
-            "edges",
-            tuple((u, v, w if type(w) is Fraction else Fraction(w)) for u, v, w in self.edges),
-        )
+        m = int(np.abs(weights).max(initial=0))
+        self.labels, self.den = labels, den
+        # (src, dst, w, m): the edge ends, the integer weights, their largest magnitude
+        self.arrays = (src, dst, _ints(weights, m), m)
 
     @property
     def n(self):
         return len(self.labels)
 
     @cached_property
-    def successors(self):
-        adj = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-        return adj
+    def edges(self):
+        """(src, dst, Fraction) per edge."""
+        src, dst, w, _ = self.arrays
+        return tuple(zip(src.tolist(), dst.tolist(), (Fraction(x, self.den) for x in w.tolist())))
 
     @cached_property
     def int_weights(self):
         """(ints, den): the edge weights as integers over their least common
         denominator."""
-        den = lcm(*{w.denominator for _, _, w in self.edges}) if self.edges else 1
-        return [w.numerator * (den // w.denominator) for _, _, w in self.edges], den
+        return self.arrays[2].tolist(), self.den
 
     @cached_property
-    def arrays(self):
-        """(src, dst, w, m): the edge ends and `int_weights` as arrays, and the
-        largest weight magnitude."""
-        m = max(map(abs, self.int_weights[0]), default=0)
-        src, dst = np.array([e[:2] for e in self.edges], dtype=np.int64).reshape(-1, 2).T
-        return src, dst, _ints(self.int_weights[0], m), m
+    def successors(self):
+        """Each vertex's heads, in edge order."""
+        src, dst = self.arrays[:2]
+        order = np.argsort(src, kind="stable")
+        heads = dst[order].tolist()
+        cuts = np.searchsorted(src[order], np.arange(self.n + 1)).tolist()
+        return [heads[a:b] for a, b in zip(cuts, cuts[1:])]
 
     @cached_property
     def sccs(self):
@@ -90,14 +98,17 @@ class WeightedGraph:
         for c, comp in enumerate(self.sccs):
             for i, v in enumerate(comp):
                 comp_of[v], local[v] = c, i
-        inside = [[] for _ in self.sccs]
-        for e, (u, v, _) in enumerate(self.edges):
-            if comp_of[u] == comp_of[v]:
-                inside[comp_of[u]].append((local[u], local[v], e))
-        return [np.array(es, dtype=np.int64).reshape(-1, 3).T for es in inside]
+        comp_of, local = np.array(comp_of, dtype=np.int64), np.array(local, dtype=np.int64)
+        src, dst = self.arrays[:2]
+        inside = np.flatnonzero(comp_of[src] == comp_of[dst])
+        inside = inside[np.argsort(comp_of[src[inside]], kind="stable")]
+        cuts = np.searchsorted(comp_of[src[inside]], np.arange(len(self.sccs) + 1)).tolist()
+        ends = np.stack([local[src[inside]], local[dst[inside]], inside])
+        return [ends[:, a:b] for a, b in zip(cuts, cuts[1:])]
 
     def negated(self):
-        return WeightedGraph(self.labels, tuple((u, v, -w) for u, v, w in self.edges))
+        src, dst, w, _ = self.arrays
+        return WeightedGraph.from_arrays(self.labels, src, dst, -w, self.den)
 
 
 @dataclass(frozen=True)
@@ -274,7 +285,7 @@ def min_mean_cycles(graph: WeightedGraph, max_cycles=32, floor=None):
     in label order.  A `floor` is tried first: if no cycle's mean is below it
     and some cycle's mean equals it, it is the minimum and Karp does not run.
     """
-    den = graph.int_weights[1]
+    den = graph.den
     mu = None if floor is None else floor * den
     found = set() if mu is None else _tight_cycles(graph, mu, max_cycles)
     if not found:
@@ -325,7 +336,7 @@ def attracting_scc_bound(graph: WeightedGraph, feasible=None) -> Fraction:
     may all be empty bounds nothing.  Without it every attracting SCC counts.
     """
     adj = graph.successors
-    w, den = -graph.arrays[2], graph.int_weights[1]
+    w, den = -graph.arrays[2], graph.den
     best = None
     for comp, (src, dst, ids) in zip(graph.sccs, graph.scc_edges):
         if sum(len(adj[u]) for u in comp) > len(ids):

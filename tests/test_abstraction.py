@@ -1,10 +1,22 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saist import build_l_complete, discretize, domino_transitions, refine_sac, trace
-from saist.abstraction import mixed_transitions
+from saist import (
+    SaistConfig,
+    TrafficAbstraction,
+    WeightedGraph,
+    build_l_complete,
+    compute_saist,
+    discretize,
+    domino_transitions,
+    refine_sac,
+    trace,
+)
+from saist.abstraction import index_edges, mixed_transitions
 from saist.arcs import ArcOracle
 from saist.errors import EmptyRefinement
 
@@ -160,6 +172,52 @@ def pairwise_mixed_transitions(states):
 def test_mixed_transitions_match_the_pairwise_rule(states):
     states = tuple(sorted(states))
     assert mixed_transitions(states) == pairwise_mixed_transitions(states)
+    assert spelled_out(states, index_edges(states)) == mixed_transitions(states)
+
+
+def spelled_out(states, edges):
+    """(src, dst) index arrays as word pairs."""
+    return tuple((states[u], states[v]) for u, v in zip(*(ends.tolist() for ends in edges)))
+
+
+def assert_index_form_matches(model, rule):
+    """The abstraction's index edges spell out `rule`'s word pairs, and the
+    pairwise rule's, in order, and its graph is the one built edge by edge
+    from Fractions."""
+    rule_pairs = pairwise_mixed_transitions(model.states)
+    assert spelled_out(model.states, model.edges) == rule == rule_pairs == model.transitions
+    idx = {w: i for i, w in enumerate(model.states)}
+    ref = WeightedGraph(
+        labels=model.states, edges=tuple((idx[u], idx[v], Fraction(u[0])) for u, v in rule)
+    )
+    got = model.as_weighted_graph()
+    for a, b in zip(got.arrays[:3], ref.arrays[:3]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.arrays[3] == ref.arrays[3] and got.int_weights == ref.int_weights
+    assert got.sccs == ref.sccs and len(got.scc_edges) == len(ref.scc_edges)
+    for a, b in zip(got.scc_edges, ref.scc_edges):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_every_full_depth_is_the_domino_rule_as_index_arrays():
+    disc = discretize(system_2d(sigma=0.3))
+    oracle, model = ArcOracle(disc), None
+    for l in range(1, 9):
+        model = build_l_complete(disc, oracle, l, prev=model)
+        assert_index_form_matches(model, domino_transitions(model.states))
+
+
+def test_every_targeted_depth_is_the_mixed_rule_as_index_arrays(monkeypatch):
+    seen = []
+    graph = TrafficAbstraction.as_weighted_graph
+    monkeypatch.setattr(
+        TrafficAbstraction, "as_weighted_graph", lambda self: seen.append(self) or graph(self)
+    )
+    compute_saist(SaistConfig(system=system_2d(sigma=0.5), l_max=30, mode="targeted"))
+    monkeypatch.undo()
+    assert len(seen) > 2 and len({len(w) for w in seen[-1].states}) > 1  # mixed lengths
+    for model in seen:
+        assert_index_form_matches(model, mixed_transitions(model.states))
 
 
 def test_targeted_refinement_sequence():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -31,11 +32,11 @@ from saist.arcs import (
     ARC_SLACK,
     FULL,
     ArcOracle,
-    ArcVerdict,
     intersect,
     letter_arcs,
     normalized,
     pull_back,
+    widest_midpoint,
 )
 from saist.cones import sigma_cone
 from saist.errors import ConfigError
@@ -65,6 +66,18 @@ def arcs_of(disc, word):
     return arcs
 
 
+class ConeVerdict(NamedTuple):
+    """A reference verdict: a witness direction, or None for an empty cone."""
+
+    witness: Optional[np.ndarray]
+
+    @property
+    def is_feasible(self):
+        return self.witness is not None
+
+    maybe_feasible = is_feasible
+
+
 class ScalarConeOracle:
     """The reference for planar plants: each word decided on its own
     sigma-cone by the scalar rule (`scalar_point`), with no arcs, no
@@ -74,7 +87,7 @@ class ScalarConeOracle:
         self.disc, self.alphabet = disc, range(1, disc.kbar + 1)
 
     def feasible_word(self, word):
-        return ArcVerdict(scalar_point(sigma_cone(self.disc, word)))
+        return ConeVerdict(scalar_point(sigma_cone(self.disc, word)))
 
     def feasible_words(self, words):
         return [self.feasible_word(w) for w in words]
@@ -132,6 +145,8 @@ def test_level_sets_and_witnesses_match_the_cone_oracle_to_depth_8(plant):
             v = arcs.feasible_word(w)
             assert v.is_feasible and sigma_cone(disc, w).contains(v.witness), w
             assert math.isclose(np.linalg.norm(v.witness), 1.0)
+            assert v.witness.tobytes() == widest_midpoint(v.arcs).tobytes()  # read lazily
+    assert arcs.stats["arc_words"] == len(arcs._verdicts)
 
 
 def tangent_system(c1, w1, w2, gap, overlap, scale, flip):
@@ -293,6 +308,14 @@ def test_bad_plants_and_words_are_refused():
         for word in [(), (0,), (1, 21)]:
             with pytest.raises(ConfigError):
                 oracle.feasible_word(word)
+            with pytest.raises(ConfigError):  # one bad word refuses the batch
+                oracle.feasible_words([(1,), word, (2,)])
+    arcs = ArcOracle(planar)
+    with pytest.raises(ConfigError):
+        arcs.feasible_words([(1,), (2, 21)])
+    assert arcs.stats["arc_words"] == len(arcs._verdicts) == 0  # checked before any is decided
+    batch = [(1,), (2, 3), (20, 1)]
+    assert arcs.feasible_words(iter(batch)) == [arcs.feasible_word(w) for w in batch]
 
 
 def test_import_saist_loads_no_arcs():

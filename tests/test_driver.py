@@ -247,7 +247,7 @@ def test_upper_bound_skips_an_attracting_scc_of_unknown_states():
     # (5,) is known feasible, so the upper bound is 5
     model = TrafficAbstraction(
         states=((2,), (3,), (5,)),
-        transitions=(((2,), (3,)), ((3,), (2,)), ((5,), (5,))),
+        edges=(np.array([0, 1, 2]), np.array([1, 0, 2])),  # (2,) <-> (3,), (5,) -> (5,)
         depth=1,
     )
 
