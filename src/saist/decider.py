@@ -11,14 +11,17 @@ exhaustion instead of guessing.  Planar cones never come here: 2-D words
 are decided on arcs (`saist.arcs`).
 
 `s_procedure_certificates` proves cones empty without any search, a batch
-at a time in one lockstep descent.  For n >= 3 the oracle tries it after
-its point pool and before the engine, on every pool miss of a batch at
-once, so the order for n = 3 is pool, certificate, curves; only n >= 4
-runs a witness ascent before the engine.
+at a time in one lockstep descent, and returns only weights that
+`certified_negative_definite`, a float Cholesky shifted by a proved
+rounding bound, accepts.  For n >= 3 the oracle tries it after its point
+pool and before the engine, on every pool miss of a batch at once, so the
+order for n = 3 is pool, certificate, curves; only n >= 4 runs a witness
+ascent before the engine.
 """
 
 import math
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +38,8 @@ LEAD_FLOOR = 1e-14  # smallest leading quartic coefficient, relative, put in the
 ACTIVE_MARGIN = 1e-6  # margin per unit of norm up to which a constraint is active at a start
 STEP_SIZES = 10.0 ** -np.arange(1, 10)  # steps inside from a closure point
 STEP_STARTS = 8  # closure points, best first, that a step inside starts from
+UNIT_ROUNDOFF = 2.0**-53  # of float64 arithmetic
+ETA = 2.0**-1074  # the smallest positive float64, the error of an underflowed product
 
 
 def decide_dim1(cone: ConeSystem):
@@ -79,7 +84,7 @@ def _curve_angles(U, G):
     where no form changes sign (a complex root's real part, or a root of a
     form that vanishes on the curve) only adds candidates.
     """
-    W = np.einsum("kia,cij,kjb->kcab", U, G, U)
+    W = U.transpose(0, 2, 1)[:, None] @ G @ U[:, None]
     A, D, F = W[..., 0, 0], W[..., 1, 1], W[..., 2, 2]
     B, C, E = 2.0 * W[..., 0, 1], 2.0 * W[..., 0, 2], 2.0 * W[..., 1, 2]
     q = np.stack([A - B + D, 2.0 * (C - E), 2.0 * (A - D) + 4.0 * F, 2.0 * (C + E), A + B + D], -1)
@@ -151,45 +156,45 @@ def decide_sphere_curves(cone: ConeSystem, max_regions=400_000):
     return ("unknown", None) if x is None else ("sat", x)
 
 
-def _dyadic(x):
-    """(m, e) with the float x exactly m * 2**e, m an int."""
-    m, d = float(x).as_integer_ratio()  # d is a power of two
-    return m, 1 - d.bit_length()
+def certified_negative_definite(weights, forms):
+    """Per b, True only if sum_i weights[b, i] forms[b, i] is negative
+    definite in exact arithmetic, each float read as the rational it
+    stores: weights (b, m), forms (b, m, n, n) symmetric.  It is a proof,
+    not a decision: a sum within the shift s below of singular is rejected.
 
-
-def exactly_negative_definite(weights, cone: ConeSystem) -> bool:
-    """Whether sum_i weights_i s_i P_i is negative definite, decided exactly.
-
-    Every float weight and matrix entry is a dyadic rational m * 2**e, so
-    -sum scaled by one power of two is a matrix of ints.  Fraction-free
-    (Bareiss) elimination without pivoting turns its leading principal
-    minors into the pivots, and the sum is negative definite iff all are
-    positive; rounding cannot make a singular or indefinite sum pass.
+    S = -sum is summed in floats, in order.  With c nonzero weights,
+    |fl(S) - S| <= gamma_c sum_i |w_i| |F_i| + c ETA entrywise, ETA for each
+    product that underflows (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, ch. 3), and the largest row sum of that
+    bound bounds ||fl(S) - S||_2.  A float Cholesky of fl(S) - sI with
+    positive pivots proves lambda_min(fl(S) - sI) > -gamma_{n+1} / (1 -
+    gamma_{n+1}) tr - 4n(2(n + 1) + max diag) ETA (Rump, "Verification of
+    positive definiteness", BIT 46, 2006), and shifting the diagonal rounds
+    it by at most u max|fl(S)_ii - s|, u = UNIT_ROUNDOFF.  s is twice the
+    sum of these bounds, which absorbs their own rounding, so S is positive
+    definite.  One pass of the factorisation covers the stack; a failing
+    matrix, NaN or inf included, fails alone.
     """
-    n = cone.n
-    terms = {(i, j): [] for i in range(n) for j in range(i, n)}
-    for w, P, s in zip(weights, cone.mats, cone.signs.tolist()):
-        if w == 0.0:
-            continue
-        mw, ew = _dyadic(-float(w) * s)
-        P = P.tolist()
-        for (i, j), entry in terms.items():
-            m, e = _dyadic(P[i][j])
-            entry.append((mw * m, ew + e))
-    low = min((e for entry in terms.values() for _, e in entry), default=0)
-    S = [[0] * n for _ in range(n)]
-    for (i, j), entry in terms.items():
-        S[i][j] = S[j][i] = sum(m << (e - low) for m, e in entry)
-    prev = 1
+    n = forms.shape[-1]
+    c = np.count_nonzero(weights, axis=1)[:, None, None]
+    terms = weights[..., None, None] * forms
+    A = -np.cumsum(terms, axis=1)[:, -1]
+    err = (c + 1) * UNIT_ROUNDOFF * np.cumsum(np.abs(terms), axis=1)[:, -1] + c * ETA
+    diag = np.diagonal(A, axis1=1, axis2=2)
+    top = np.maximum(diag, 0.0)
+    shift = 2.0 * (
+        err.sum(axis=2).max(axis=1)
+        + (n + 2) * UNIT_ROUNDOFF * top.sum(axis=1)
+        + UNIT_ROUNDOFF * np.abs(diag).max(axis=1)
+        + 4 * n * (2 * (n + 1) + top.max(axis=1)) * ETA
+    )
+    A = A - shift[:, None, None] * np.eye(n)
+    ok = np.ones(len(A), dtype=bool)
     for k in range(n):
-        pivot = S[k][k]  # the (k+1)-th leading principal minor
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                S[i][j] = (S[i][j] * pivot - S[i][k] * S[k][j]) // prev
-        prev = pivot
-    return True
+        ok &= A[:, k, k] > 0.0
+        row = A[:, k, k + 1 :] / np.sqrt(np.where(ok, A[:, k, k], 1.0))[:, None]
+        A[:, k + 1 :, k + 1 :] -= row[:, :, None] * row[:, None, :]
+    return ok
 
 
 def s_procedure_certificates(cones) -> list:
@@ -207,8 +212,9 @@ def s_procedure_certificates(cones) -> list:
     with -0.0 forms of weight 0 to the batch's largest count, which add
     exactly nothing to the sums, taken in order, so every cone's weights
     are bitwise those of its batch of one.  A cone leaves at its first
-    negative lambda_max, and its weights are returned only once
-    `exactly_negative_definite` accepts them.
+    negative lambda_max, and its weights, tau_i / ||P_i||, are returned
+    only once `certified_negative_definite` accepts them with the cone's
+    own forms, all the cones that leave at one step in one call.
     """
     out = [None] * len(cones)
     norms = [np.linalg.norm(c.mats, axis=(1, 2)) for c in cones]
@@ -217,30 +223,31 @@ def s_procedure_certificates(cones) -> list:
         return out
     counts = np.array([np.count_nonzero(norms[i]) for i in todo])
     n = cones[todo[0]].n
-    G = np.full((len(todo), counts.max(), n, n), -0.0)
-    tau = np.zeros(G.shape[:2])
+    F = np.full((len(todo), counts.max(), n, n), -0.0)  # each cone's nonzero s_i P_i
+    scale = np.ones(F.shape[:2])
+    tau = np.zeros(F.shape[:2])
     for b, i in enumerate(todo.tolist()):
         nonzero = norms[i] > 0.0
         cone = cones[i]
-        G[b, : counts[b]] = (
-            cone.signs[nonzero, None, None] * cone.mats[nonzero] / norms[i][nonzero, None, None]
-        )
+        F[b, : counts[b]] = cone.signs[nonzero, None, None] * cone.mats[nonzero]
+        scale[b, : counts[b]] = norms[i][nonzero]
         tau[b, : counts[b]] = 1.0 / counts[b]
+    G = F / scale[..., None, None]
     live = np.arange(G.shape[1]) < counts[:, None]  # not tau > 0: a live weight can underflow
     for t in range(1, CERTIFICATE_ITERATIONS + 1):
         lam, vecs = np.linalg.eigh(np.cumsum(tau[..., None, None] * G, axis=1)[:, -1])
         done = lam[:, -1] < 0.0
-        for b in np.flatnonzero(done).tolist():
-            i = todo[b]
-            nonzero = norms[i] > 0.0
-            weights = np.zeros(len(nonzero))
-            weights[nonzero] = tau[b, : counts[b]] / norms[i][nonzero]
-            out[i] = weights if exactly_negative_definite(weights, cones[i]) else None
-        if done.all():
-            break
         if done.any():
-            G, tau, live, counts, todo, vecs = (
-                a[~done] for a in (G, tau, live, counts, todo, vecs)
+            found = tau[done] / scale[done]
+            proved = certified_negative_definite(found, F[done])
+            for i, w, count, ok in zip(todo[done].tolist(), found, counts[done].tolist(), proved):
+                if ok:
+                    out[i] = np.zeros(len(norms[i]))
+                    out[i][norms[i] > 0.0] = w[:count]
+            if done.all():
+                break
+            G, F, scale, tau, live, counts, todo, vecs = (
+                a[~done] for a in (G, F, scale, tau, live, counts, todo, vecs)
             )
         v = vecs[..., -1]
         grad = np.einsum("bi,bcij,bj->bc", v, G, v)  # d lambda_max / d tau
@@ -262,15 +269,7 @@ def _norm(x):
 
 def _initial_simplices(n):
     """2^n spherical simplices covering the sphere (axis-sign orthants)."""
-    out = []
-    for signs in range(2**n):
-        verts = []
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = 1.0 if (signs >> i) & 1 == 0 else -1.0
-            verts.append(v)
-        out.append(tuple(verts))
-    return out
+    return [tuple(np.diag([-1.0 if (s >> i) & 1 else 1.0 for i in range(n)])) for s in range(2**n)]
 
 
 def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000):
@@ -282,19 +281,15 @@ def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000):
     unknown.
     """
     mats, signs = cone.mats, cone.signs
-    lip = 2.0 * np.array([np.linalg.norm(P, 2) for P in mats])
+    lip = 2.0 * np.linalg.norm(mats, 2, axis=(1, 2))
     # a NON_POSITIVE constraint holds where x'Px = 0, so it prunes only on a
     # strictly negative bound; the slack covers rounding in c'Pc, r and lip
     strict = signs > 0
     slack = BNB_SLACK * lip
     queue = deque(_initial_simplices(cone.n))
-    examined = 0
-    unresolved = False
-    while queue:
-        examined += 1
-        if examined > max_regions:
-            unresolved = True
-            break
+    for _ in range(max_regions):
+        if not queue:
+            return "unsat", None
         verts = queue.popleft()
         c = np.sum(verts, axis=0)
         c /= _norm(c)
@@ -311,26 +306,13 @@ def decide_sphere_bnb(cone: ConeSystem, max_regions=400_000):
             mv = signs * np.einsum("i,cij,j->c", v, mats, v)
             if (mv > WITNESS_TOL).all():
                 return "sat", v.copy()
-        # subdivide along the longest edge
-        best = (0, 1)
-        bl = -1.0
-        k = len(verts)
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = _norm(verts[i] - verts[j])
-                if d > bl:
-                    bl = d
-                    best = (i, j)
-        i, j = best
+        # subdivide along the longest edge, the first of the longest
+        i, j = max(combinations(range(len(verts)), 2), key=lambda e: _norm(verts[e[0]] - verts[e[1]]))
         mid = verts[i] + verts[j]
         mid /= _norm(mid)
-        child_a = tuple(mid if t == i else v for t, v in enumerate(verts))
-        child_b = tuple(mid if t == j else v for t, v in enumerate(verts))
-        queue.append(child_a)
-        queue.append(child_b)
-    if unresolved:
-        return "unknown", None
-    return "unsat", None
+        queue.append(tuple(mid if t == i else v for t, v in enumerate(verts)))
+        queue.append(tuple(mid if t == j else v for t, v in enumerate(verts)))
+    return ("unknown", None) if queue else ("unsat", None)
 
 
 class BuiltinDecider:

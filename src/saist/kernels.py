@@ -3,6 +3,8 @@
 All kernels are numpy; ``benchmarks/bench_kernels.py`` times them.
 """
 
+from functools import cache
+
 import numpy as np
 
 
@@ -10,10 +12,18 @@ import numpy as np
 # quadratic-form batches
 
 
+@cache
+def _monomials(n):
+    """The upper triangle's (rows, cols) and the factor of each entry in
+    x'Px: 1 on the diagonal, 2 off it."""
+    i, j = np.triu_indices(n)
+    return i, j, np.where(i == j, 1.0, 2.0)
+
+
 def _margins(points, mats, signs):
     # `margins` without the conversions, for arrays already float64 and contiguous
-    q = np.einsum("pi,cij,pj->pc", points, mats, points)
-    return q * signs[np.newaxis, :]
+    i, j, twice = _monomials(points.shape[1])
+    return np.einsum("pk,ck->pc", points[:, i] * points[:, j], mats[:, i, j] * twice) * signs
 
 
 def margins(points, mats, signs):
@@ -22,6 +32,13 @@ def margins(points, mats, signs):
     points: (p, n); mats: (c, n, n) symmetric; signs: (c,) with +1 for
     strict-positive constraints and -1 for non-positive ones.  Returns (p, c):
     entry > 0 means the point satisfies that constraint strictly.
+
+    x'Px is the sum over the n(n+1)/2 monomials x_i x_j, i <= j, of P_ij,
+    doubled off the diagonal, in one two-operand einsum.  For two points or
+    more each margin is summed over its own point's and form's monomials in
+    one order whatever the batch, so a slice of the forms gives bitwise the
+    same columns: ``margins(p, m[a:b], s[a:b]) == margins(p, m, s)[:, a:b]``
+    (a single point takes another einsum loop and may round differently).
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     mats = np.ascontiguousarray(mats, dtype=np.float64)

@@ -1,5 +1,6 @@
 """The S-procedure emptiness certificate: soundness against points, the
-branch-and-bound and dense sampling, and the exact rational check."""
+branch-and-bound and dense sampling, and the rounding-bounded definiteness
+check against exact rationals."""
 
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from saist import ConeSystem
 from saist.decider import (
+    certified_negative_definite,
     decide_sphere_bnb,
-    exactly_negative_definite,
     s_procedure_certificate,
     s_procedure_certificates,
 )
@@ -54,9 +55,9 @@ def cone_containing_a_point(rng, n, m):
     return cone(forms, signs), x
 
 
-def cone_with_a_certificate(rng, n, m, scale):
-    """A cone with a known certificate: the last form closes a weighted sum
-    of random forms to -(B B' + scale I)."""
+def cone_and_certificate(rng, n, m, scale):
+    """(cone, w): a cone and its known certificate w, with which the last
+    form closes a weighted sum of random forms to -(B B' + scale I)."""
     forms = random_forms(rng, m, n)
     signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(m)]
     w = rng.uniform(0.1, 1.0, m)
@@ -64,7 +65,17 @@ def cone_with_a_certificate(rng, n, m, scale):
     target = -(B @ B.T + scale * np.eye(n))
     partial = sum(w[i] * s * forms[i] for i, s in enumerate(signs[:-1]))
     forms[-1] = signs[-1] * (target - partial) / w[-1]
-    return cone(forms, signs)
+    return cone(forms, signs), w
+
+
+def cone_with_a_certificate(rng, n, m, scale):
+    return cone_and_certificate(rng, n, m, scale)[0]
+
+
+def certified(weights, c):
+    """`certified_negative_definite` of one cone's weighted forms s_i P_i."""
+    forms = np.asarray(c.signs)[:, None, None] * c.mats
+    return bool(certified_negative_definite(np.asarray(weights)[None], forms[None])[0])
 
 
 @SETTINGS
@@ -89,7 +100,7 @@ def test_certified_cone_has_no_points(seed, n, m, scale):
     tau = s_procedure_certificate(c)
     assume(tau is not None)
     assert np.all(tau >= 0) and tau.sum() > 0
-    assert exactly_negative_definite(tau, c)
+    assert certified(tau, c) and fraction_negative_definite(tau, c)
     reply, _ = decide_sphere_bnb(c, max_regions=1500)
     assert reply != "sat"
     mats, signs = c.mats, c.signs
@@ -104,7 +115,8 @@ def test_certified_cone_has_no_points(seed, n, m, scale):
 def test_a_batch_certifies_each_cone_as_it_would_alone(seed, n, size):
     """The lockstep descent gives every cone of a batch, over mixed form
     counts, zero forms and a form-free cone, bitwise the weights of its
-    batch of one, and every weight it returns passes the exact check."""
+    batch of one, and every weight it returns is a certificate in exact
+    rationals."""
     rng = np.random.default_rng(seed)
     cones = [cone(np.empty((0, n, n)), [])]
     for _ in range(size):
@@ -123,7 +135,7 @@ def test_a_batch_certifies_each_cone_as_it_would_alone(seed, n, size):
         None if w is None else w.tobytes() for w in alone
     ]
     for c, w in zip(cones, got):
-        assert w is None or (len(w) == len(c.signs) and exactly_negative_definite(w, c))
+        assert w is None or (len(w) == len(c.signs) and fraction_negative_definite(w, c))
         if not np.linalg.norm(c.mats, axis=(1, 2)).any():
             assert w is None
 
@@ -134,7 +146,7 @@ def test_certificate_found_on_a_plainly_empty_cone():
         [1.0, 1.0, -1.0],
     )
     tau = s_procedure_certificate(c)
-    assert tau is not None and exactly_negative_definite(tau, c)
+    assert tau is not None and certified(tau, c) and fraction_negative_definite(tau, c)
 
 
 def test_exact_check_rejects_a_sum_that_rounds_negative():
@@ -151,9 +163,9 @@ def test_exact_check_rejects_a_sum_that_rounds_negative():
     for t, P, s in zip(tau, c.mats, c.signs):
         float_sum = float_sum + t * s * P
     assert np.linalg.eigvalsh(float_sum).max() < 0  # looks negative definite
-    assert not exactly_negative_definite(tau, c)
+    assert not certified(tau, c)
     # with a smaller weight on the positive term the exact sum is negative
-    assert exactly_negative_definite(np.array([1.0 / 3.0, 0.5, 0.5, 1.0]), c)
+    assert certified(np.array([1.0 / 3.0, 0.5, 0.5, 1.0]), c)
 
 
 def fraction_negative_definite(weights, c):
@@ -188,7 +200,9 @@ def fraction_negative_definite(weights, c):
     m=st.integers(1, 6),
     kind=st.sampled_from(["random", "certified", "singular", "near_singular", "sparse"]),
 )
-def test_integer_check_agrees_with_fractions(seed, n, m, kind):
+def test_definiteness_check_is_sound_against_fractions(seed, n, m, kind):
+    """The float check accepts only sums that are negative definite in exact
+    rationals; it may reject one that is, within its shift of singular."""
     rng = np.random.default_rng(seed)
     tau = rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8)
     signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(m)]
@@ -211,12 +225,45 @@ def test_integer_check_agrees_with_fractions(seed, n, m, kind):
         elif kind == "sparse":
             forms[:, rng.random((n, n)) < 0.5] = 0.0
         c = cone(0.5 * (forms + forms.transpose(0, 2, 1)), signs)
-    assert exactly_negative_definite(tau, c) == fraction_negative_definite(tau, c)
+    assert not certified(tau, c) or fraction_negative_definite(tau, c)
 
 
-def test_integer_check_on_zero_weights_and_forms():
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([3, 4]),
+    m=st.integers(2, 44),
+    scale=st.floats(-12.0, 1.0),
+    power=st.integers(-200, 200),
+)
+def test_definiteness_check_accepts_every_clear_certificate(seed, n, m, scale, power):
+    """Every known certificate whose relative margin
+    -lambda_max(sum w_i s_i P_i) / ||sum w_i |P_i| ||_2 is at least 1e-9 is
+    accepted, at any power-of-two scale of the weights."""
+    c, w = cone_and_certificate(np.random.default_rng(seed), n, m, 10.0**scale)
+    w = w * 2.0**power
+    total = np.einsum("i,i,ijk->jk", w, c.signs, c.mats)
+    size = np.einsum("i,ijk->jk", w, np.abs(c.mats))
+    margin = -np.linalg.eigvalsh(total).max() / np.linalg.norm(size, 2)
+    if margin >= 1e-9:
+        assert certified(w, c)
+
+
+def test_definiteness_check_on_zero_weights_and_forms():
     c = cone([np.zeros((3, 3)), -np.eye(3)], [1.0, 1.0])
     for tau in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0**-1074, 0.0], [0.0, 2.0**-1074]):
         tau = np.array(tau)
-        assert exactly_negative_definite(tau, c) == fraction_negative_definite(tau, c)
-    assert exactly_negative_definite(np.array([0.0, 2.0**-1074]), c)
+        assert not certified(tau, c) or fraction_negative_definite(tau, c)
+    assert certified(np.array([0.0, 1.0]), c)
+    # 2**-1074 I is negative definite in exact rationals, but it lies within
+    # the underflow part of the shift of singular, so the check rejects it
+    assert fraction_negative_definite(np.array([0.0, 2.0**-1074]), c)
+    assert not certified(np.array([0.0, 2.0**-1074]), c)
+
+
+def test_definiteness_check_decides_each_cone_of_a_stack_alone():
+    """One failing, NaN or overflowing sum in a stack fails alone."""
+    forms = np.stack([-np.eye(3), np.eye(3), np.full((3, 3), np.nan), -1e308 * np.eye(3)])[:, None]
+    weights = np.array([[1.0], [1.0], [1.0], [1e10]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert certified_negative_definite(weights, forms).tolist() == [True, False, False, False]

@@ -73,6 +73,22 @@ def assert_scratch(disc, oracle, word, memo):
     assert np.array_equal(memo.worst, full)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_margins_of_a_slice_of_the_forms_are_its_columns(n):
+    """At the pool's points, every slice of a chunk of forms, one form wide
+    included, gives bitwise the columns that the whole chunk gives: the
+    incremental worst margins of ConeOracle rest on that."""
+    rng = np.random.default_rng(n)
+    pool = oracle_module._unit_pool(n, oracle_module.POOL_SIZE, 0)
+    mats = rng.standard_normal((CHUNK_FORMS, n, n)) * 10.0 ** rng.integers(-3, 4, (CHUNK_FORMS, 1, 1))
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    signs = np.where(rng.random(CHUNK_FORMS) < 0.5, 1.0, -1.0)
+    whole = kernels.margins(pool, mats, signs)
+    for a in range(CHUNK_FORMS):
+        for b in range(a + 1, CHUNK_FORMS + 1):
+            assert np.array_equal(kernels.margins(pool, mats[a:b], signs[a:b]), whole[:, a:b])
+
+
 @SETTINGS
 @given(word=words)
 def test_incremental_stacks_and_margins_are_bitwise(word):
