@@ -1,6 +1,6 @@
 """Time the numpy kernels on fixed random inputs, the certificate's
-definiteness check on one batch, and one level of the 2-D arc oracle (best
-of five calls each).
+definiteness check on one batch, the sampled closed loop, and one level of
+the 2-D arc oracle (best of five calls each).
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from saist import build_l_complete, discretize, kernels, parse_config
+from saist import DiscretizedSystem, build_l_complete, discretize, kernels, parse_config, simulate
 from saist.arcs import ArcOracle
 from saist.decider import certified_negative_definite
 
@@ -38,11 +38,7 @@ def arc_level(l=20, repeat=5):
     best = float("inf")
     for _ in range(repeat + 1):  # the first call warms up
         oracle = ArcOracle(disc)
-        level = build_l_complete(disc, oracle, l - 1).states
-        last = {}
-        for u in level:
-            last.setdefault(u[:-1], []).append(u[-1])
-        words = [w + (k,) for w in level for k in last.get(w[1:], ())]
+        words = [v + w[-1:] for v, w in build_l_complete(disc, oracle, l - 1).transitions]
         t0 = time.perf_counter()
         oracle.feasible_words(words)
         best = min(best, time.perf_counter() - t0)
@@ -90,8 +86,8 @@ def main():
     print(f"definiteness   {len(w)} cones x {F.shape[1]} forms, n = 3 ({accepted} accepted):   {t * 1e3:8.3f} ms")
     t = timeit(kernels.min_margin_ascent, x0, mats, signs)
     print(f"ascent         200 steps:                                    {t * 1e3:8.3f} ms")
-    t = timeit(kernels.simulate_loop, M, N, x0, 10_000)
-    print(f"simulate_loop  10k samples:                                  {t * 1e3:8.3f} ms")
+    t = timeit(simulate, DiscretizedSystem(M=M, N=N, h=1.0, kbar=len(M)), x0, 10_000)
+    print(f"simulate       10k samples:                                  {t * 1e3:8.3f} ms")
     t, n_words = arc_level()
     print(f"arc level      jet, {n_words} depth-20 words:                     {t * 1e3:8.3f} ms")
 

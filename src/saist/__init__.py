@@ -16,7 +16,7 @@ from .petc import (
 )
 from .cones import ConeSystem, sigma_cone, subspace_contained
 from .oracle import ConeOracle, FeasibilityVerdict, Status
-from .abstraction import TrafficAbstraction, build_l_complete, domino_transitions, refine_sac
+from .abstraction import TrafficAbstraction, build_l_complete, refine_sac
 from .quantgraph import (
     WeightedGraph,
     CycleResult,
@@ -63,7 +63,6 @@ __all__ = [
     "Status",
     "TrafficAbstraction",
     "build_l_complete",
-    "domino_transitions",
     "refine_sac",
     "WeightedGraph",
     "CycleResult",

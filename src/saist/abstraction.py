@@ -41,7 +41,7 @@ class TrafficAbstraction:
     @cached_property
     def transitions(self) -> tuple:
         """(src word, dst word) pairs, in `edges` order."""
-        return _word_pairs(self.states, self.edges)
+        return tuple(zip(*(map(self.states.__getitem__, ends.tolist()) for ends in self.edges)))
 
     def as_weighted_graph(self) -> WeightedGraph:
         """Simple-WTS form: every edge out of u weighs output(u)."""
@@ -70,31 +70,24 @@ def abstraction_of(states, depth) -> TrafficAbstraction:
 def build_l_complete(disc, oracle, l: int, prev=None) -> TrafficAbstraction:
     """Abstraction whose states are all feasible IST words of length l.
 
-    Level j+1 candidates are w + (k,) where both w and w[1:] + (k,) passed
-    level j; prefix monotonicity makes this exhaustive and it keeps the
-    query count near the final edge count.  Each level goes to the oracle
-    as one batch.  Given `prev`, the l'-complete
-    abstraction of the same oracle for some l' <= l, the levels up to l'
-    are taken from it instead of being looked up again.
+    Level j+1 candidates are v + w[-1:] for each edge v -> w of level j,
+    that is w + (k,) where both w and w[1:] + (k,) passed level j; prefix
+    monotonicity makes this exhaustive and it keeps the query count near
+    the final edge count.  Each level goes to the oracle as one batch.
+    Given `prev`, the l'-complete abstraction of the same oracle for some
+    l' <= l, the levels up to l' are taken from it instead of being looked
+    up again.
     """
     if l < 1:
         raise ValueError("depth must be >= 1")
     if prev is None:
-        level = _feasible(oracle, [(k,) for k in oracle.alphabet])
-        depth = 1
+        prev = abstraction_of(_feasible(oracle, [(k,) for k in oracle.alphabet]), 1)
     elif prev.depth > l or any(len(w) != prev.depth for w in prev.states):
         raise ValueError(f"prev must be l'-complete for some l' <= {l}")
-    else:
-        level, depth = list(prev.states), prev.depth
-    for _ in range(depth, l):
-        # the letters that may follow each prefix, ascending as level is sorted
-        last = {}
-        for u in level:
-            last.setdefault(u[:-1], []).append(u[-1])
-        level = _feasible(oracle, [w + (k,) for w in level for k in last.get(w[1:], ())])
-    abstraction = abstraction_of(level, l)
-    oracle.retain(abstraction.states)
-    return abstraction
+    for depth in range(prev.depth + 1, l + 1):
+        prev = abstraction_of(_feasible(oracle, [v + w[-1:] for v, w in prev.transitions]), depth)
+    oracle.retain(prev.states)
+    return prev
 
 
 def _feasible(oracle, words) -> list:
@@ -104,9 +97,8 @@ def _feasible(oracle, words) -> list:
 
 def index_edges(states) -> tuple:
     """The prefix-compatible domino rule on sorted states as (src, dst)
-    index arrays, in the order of the sorted word pairs that
-    `mixed_transitions` gives: v -> w iff w extends v[1:] or is a proper
-    prefix of it.
+    index arrays, in sorted word-pair order: v -> w iff w extends v[1:] or
+    is a proper prefix of it.
 
     The states that extend a word are consecutive, so one pass over the
     states maps each v[1:] to the range of its extensions; only states of
@@ -135,28 +127,6 @@ def index_edges(states) -> tuple:
             order = np.lexsort((dst, src))
             src, dst = src[order], dst[order]
     return src, dst
-
-
-def domino_transitions(states) -> tuple:
-    """Edges (k·s, s·k') for uniform-length words, as sorted word pairs;
-    complete digraph at l=1."""
-    states = tuple(states)
-    if states and any(len(w) != len(states[0]) for w in states):
-        raise ValueError("domino rule needs uniform word length")
-    return mixed_transitions(states)
-
-
-def mixed_transitions(states) -> tuple:
-    """Prefix-compatible domino for mixed-length states: edge (v, w) iff the
-    1-step suffix of v and the word w agree on their common prefix.  The
-    word pairs of `index_edges`, sorted."""
-    states = tuple(sorted(states))
-    return _word_pairs(states, index_edges(states))
-
-
-def _word_pairs(states, edges) -> tuple:
-    """(src, dst) index arrays into `states` as (src word, dst word) pairs."""
-    return tuple(zip(*(map(states.__getitem__, ends.tolist()) for ends in edges)))
 
 
 def refine_sac(abstraction: TrafficAbstraction, sac, oracle) -> TrafficAbstraction:

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
+from .oracle import WordOracle
 
 PI = math.pi
 ARC_SLACK = 1e-9  # radians by which two arcs may miss each other and still meet
@@ -170,7 +171,7 @@ class ArcVerdict(NamedTuple):
         return widest_midpoint(self.arcs) if self.arcs else None
 
 
-class ArcOracle:
+class ArcOracle(WordOracle):
     """Decides the IST words of a planar plant.
 
     A word's set is R(k·s) = R(k) ∩ M(k)^-1 R(s), from its suffix's set,
@@ -184,19 +185,14 @@ class ArcOracle:
     def __init__(self, disc):
         if disc.n != 2:
             raise ValueError("arcs need a planar plant")
-        self.disc = disc
+        super().__init__(disc)
         self._adj = [(d, -b, -c, a) for (a, b), (c, d) in disc.M.tolist()]
         self._flip = [a * d - b * c < 0.0 for (a, b), (c, d) in disc.M.tolist()]
         N = disc.N.tolist()
         self._letters = [letter_arcs(N, k, disc.kbar) for k in self.alphabet]
-        self._verdicts = {}
         self.stats = {
             "sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0, "arc_words": 0
         }
-
-    @property
-    def alphabet(self):
-        return range(1, self.disc.kbar + 1)
 
     def _verdict(self, word):
         """The word's verdict, cached; an undecided word's set comes from its
@@ -222,16 +218,6 @@ class ArcOracle:
         if not all(words) or words and (min(map(min, words)) < 1 or max(map(max, words)) > kbar):
             raise ConfigError(f"words must be nonempty over 1..{kbar}")
         return [self._verdict(w) for w in words]
-
-    def known_infeasible(self, word):
-        """Whether the word is already decided empty."""
-        v = self._verdicts.get(tuple(word))
-        return v is not None and not v.maybe_feasible
-
-    def known_feasible(self, word):
-        """Whether the word is already decided feasible."""
-        v = self._verdicts.get(tuple(word))
-        return v is not None and v.is_feasible
 
     def retain(self, words):
         """Nothing to forget: a word's set is its verdict's."""

@@ -114,7 +114,7 @@ def _step_inside(cone, starts, mats, signs):
     return _first_in_cone(cone, pts, _margins(pts, mats, signs).min(axis=1), WITNESS_TOL)
 
 
-def decide_sphere_curves(cone: ConeSystem, max_regions=400_000):
+def decide_sphere_curves(cone: ConeSystem):
     """Decision for n = 3 on the zero curves of the constraints.
 
     Let F be the closure of the cone on the unit sphere.  F is empty, or
@@ -136,7 +136,7 @@ def decide_sphere_curves(cone: ConeSystem, max_regions=400_000):
     lam, vec = np.linalg.eigh(G)
     size = np.abs(lam)
     if (size.min(axis=1) <= SINGULAR_TOL * size.max(axis=1)).any():  # zero forms too
-        return decide_sphere_bnb(cone, max_regions=max_regions)
+        return decide_sphere_bnb(cone)
     indefinite = (lam[:, 0] < 0.0) & (lam[:, -1] > 0.0)
     pts = np.eye(3)[:1]  # decides F without boundary: the whole sphere or empty
     if indefinite.any():
@@ -257,11 +257,6 @@ def s_procedure_certificates(cones) -> list:
     return out
 
 
-def s_procedure_certificate(cone: ConeSystem):
-    """`s_procedure_certificates` of the cone alone."""
-    return s_procedure_certificates([cone])[0]
-
-
 def _norm(x):
     """Euclidean norm of a vector, as np.linalg.norm computes it, minus its overhead."""
     return math.sqrt(x.dot(x))
@@ -319,12 +314,9 @@ class BuiltinDecider:
     """The oracle's engine: ``check(cone)`` replies ('sat', witness),
     ('unsat', None) or ('unknown', None), dispatching on the dimension."""
 
-    def __init__(self, max_regions=400_000):
-        self.max_regions = max_regions
-
     def check(self, cone: ConeSystem):
         if cone.n == 1:
             return decide_dim1(cone)
         if cone.n == 3:
-            return decide_sphere_curves(cone, max_regions=self.max_regions)
-        return decide_sphere_bnb(cone, max_regions=self.max_regions)
+            return decide_sphere_curves(cone)
+        return decide_sphere_bnb(cone)

@@ -1,4 +1,4 @@
-"""Numeric hot loops: quadratic-form batches, trigger scans, closed-loop simulation.
+"""Numeric hot loops: quadratic-form batches and the min-margin ascent on the sphere.
 
 All kernels are numpy; ``benchmarks/bench_kernels.py`` times them.
 """
@@ -84,49 +84,3 @@ def min_margin_ascent(x0, mats, signs, steps=200, tol=1e-9):
             if step < 1e-9:
                 break
     return best, best_m
-
-
-# ---------------------------------------------------------------------------
-# PETC closed-loop simulation
-
-
-def simulate_loop(M, N, x0, steps, renormalize=False):
-    """Iterate x' = M(kappa(x)) x; returns (states, ists, completed_steps).
-
-    completed_steps < steps signals a non-finite state at that index.  With
-    renormalize, the state is rescaled to unit norm after every sample; the
-    IST sequence is homogeneous, so this only guards against over/underflow.
-    """
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    N = np.ascontiguousarray(N, dtype=np.float64)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    n = x0.shape[0]
-    kbar = M.shape[0]
-    states = np.empty((steps + 1, n))
-    ists = np.empty(steps, dtype=np.int64)
-    x = x0.astype(np.float64)
-    states[0] = x
-    for i in range(steps):
-        k = kbar
-        for kk in range(1, kbar):
-            if x @ N[kk - 1] @ x > 0.0:
-                k = kk
-                break
-        ists[i] = k
-        x = M[k - 1] @ x
-        if renormalize:
-            nrm = np.linalg.norm(x)
-            if nrm > 0.0:
-                x = x / nrm
-        if not np.all(np.isfinite(x)):
-            return states, ists, i + 1
-        states[i + 1] = x
-    return states, ists, steps
-
-
-def kappa_scan(N, x):
-    """Smallest k with x'N(k)x > 0, else kbar.  N is the (kbar, n, n) stack."""
-    kbar = N.shape[0]
-    vals = np.einsum("i,kij,j->k", x, N[: kbar - 1], x) if kbar > 1 else np.empty(0)
-    hits = np.nonzero(vals > 0.0)[0]
-    return int(hits[0]) + 1 if hits.size else kbar

@@ -1,7 +1,8 @@
 """Feasibility oracle for sigma-cones: seeded sampling first, exact decisions second.
 
 It decides the words of plants with n != 2; planar plants are decided on
-arcs (`saist.arcs`), and this oracle refuses them.
+arcs (`saist.arcs`), and this oracle refuses them.  `WordOracle` is the
+verdict cache both share.
 """
 
 import enum
@@ -13,12 +14,7 @@ import numpy as np
 
 from . import kernels
 from .cones import ConeSystem, checked_word, letter_forms
-from .decider import (
-    WITNESS_TOL,
-    BuiltinDecider,
-    s_procedure_certificate,
-    s_procedure_certificates,
-)
+from .decider import WITNESS_TOL, BuiltinDecider, s_procedure_certificates
 from .petc import DiscretizedSystem
 
 POOL_SIZE = 512  # seeded sample points on the sphere
@@ -76,7 +72,30 @@ def _unit_pool(n, size, seed):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-class ConeOracle:
+class WordOracle:
+    """The verdict cache that both oracles answer from: a word's verdict,
+    once decided, is kept in `_verdicts` under the word's tuple."""
+
+    def __init__(self, disc):
+        self.disc = disc
+        self._verdicts = {}
+
+    @property
+    def alphabet(self):
+        return range(1, self.disc.kbar + 1)
+
+    def known_infeasible(self, word):
+        """Whether the word is already decided empty."""
+        v = self._verdicts.get(tuple(word))
+        return v is not None and not v.maybe_feasible
+
+    def known_feasible(self, word):
+        """Whether the word is already decided feasible, with a witness."""
+        v = self._verdicts.get(tuple(word))
+        return v is not None and v.is_feasible
+
+
+class ConeOracle(WordOracle):
     """Decides sigma-cone nonemptiness for one discretized PETC system
     with n != 2; a planar plant raises ValueError, since every one goes to
     :class:`saist.arcs.ArcOracle`.
@@ -105,20 +124,15 @@ class ConeOracle:
     def __init__(self, disc: DiscretizedSystem, engine=None, seed=0):
         if disc.n == 2:
             raise ValueError("planar plants are decided on arcs (saist.arcs.ArcOracle)")
-        self.disc = disc
+        super().__init__(disc)
         self.engine = BuiltinDecider() if engine is None else engine
         self.pool = _unit_pool(disc.n, POOL_SIZE, seed)
-        self._verdicts = {}
         n = disc.n
         root = ConeSystem._of((), np.empty((0, n, n)), np.empty(0))
         self._root = _Cone(root, np.eye(n), _worst(self.pool, root.mats, root.signs))
         self._memo = {}
         self._certificates = {}  # ConeSystem -> weights or None, for the batch being decided
         self.stats = {"sampling_hits": 0, "certified": 0, "engine_calls": 0, "queries": 0}
-
-    @property
-    def alphabet(self):
-        return range(1, self.disc.kbar + 1)
 
     def _pool(self, cone: ConeSystem):
         """The pool's worst margin per point on the cone: kept from its
@@ -165,7 +179,7 @@ class ConeOracle:
             if cone in self._certificates:
                 tau = self._certificates.pop(cone)
             else:
-                tau = s_procedure_certificate(cone)
+                tau = s_procedure_certificates([cone])[0]
             if tau is not None:
                 self.stats["certified"] += 1
                 return FeasibilityVerdict(Status.INFEASIBLE, None, Method.CERTIFICATE)
@@ -222,16 +236,6 @@ class ConeOracle:
                 phi,
                 np.minimum(parent.worst, margins[lo:hi].min(axis=0)) if count else parent.worst,
             )
-
-    def known_infeasible(self, word):
-        """Whether the word's cone is already decided empty."""
-        v = self._verdicts.get(tuple(word))
-        return v is not None and not v.maybe_feasible
-
-    def known_feasible(self, word):
-        """Whether the word's cone is already decided FEASIBLE, with a witness."""
-        v = self._verdicts.get(tuple(word))
-        return v is not None and v.is_feasible
 
     def retain(self, words):
         """Forget the cones of every word not in `words`."""

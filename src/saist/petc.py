@@ -11,7 +11,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NonFiniteMatrix, NonFiniteState, ConfigError
-from . import kernels
 
 SYM_TOL = 1e-12
 
@@ -125,12 +124,20 @@ def discretize(sys: PetcSystem) -> DiscretizedSystem:
     return DiscretizedSystem(M=M, N=N, h=sys.h, kbar=sys.kbar)
 
 
+def _trigger(N, x) -> int:
+    """The trigger scan: the smallest k < kbar with x'N(k)x > 0, else kbar."""
+    for k, Nk in enumerate(N[:-1], 1):
+        if x @ Nk @ x > 0.0:
+            return k
+    return len(N)
+
+
 def kappa(disc: DiscretizedSystem, x) -> int:
     """Smallest k in 1..kbar with x'N(k)x > 0, else kbar (strict, no fuzz)."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState("kappa requires a finite state")
-    return kernels.kappa_scan(disc.N, x)
+    return _trigger(disc.N, x)
 
 
 def simulate(disc: DiscretizedSystem, x0, steps: int, renormalize=False) -> SampleTrajectory:
@@ -142,10 +149,20 @@ def simulate(disc: DiscretizedSystem, x0, steps: int, renormalize=False) -> Samp
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    x0 = np.asarray(x0, dtype=np.float64)
-    states, ists, done = kernels.simulate_loop(disc.M, disc.N, x0, steps, renormalize)
-    if done < steps:
-        raise NonFiniteState(f"trajectory overflowed at sample {done}")
+    x = np.asarray(x0, dtype=np.float64)
+    states = np.empty((steps + 1, x.shape[0]))
+    ists = np.empty(steps, dtype=np.int64)
+    states[0] = x
+    for i in range(steps):
+        ists[i] = k = _trigger(disc.N, x)
+        x = disc.M[k - 1] @ x
+        if renormalize:
+            nrm = np.linalg.norm(x)
+            if nrm > 0.0:
+                x = x / nrm
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteState(f"trajectory overflowed at sample {i + 1}")
+        states[i + 1] = x
     return SampleTrajectory(states=states, ists=ists)
 
 

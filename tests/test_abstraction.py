@@ -12,11 +12,10 @@ from saist import (
     build_l_complete,
     compute_saist,
     discretize,
-    domino_transitions,
     refine_sac,
     trace,
 )
-from saist.abstraction import index_edges, mixed_transitions
+from saist.abstraction import abstraction_of, index_edges
 from saist.arcs import ArcOracle
 from saist.errors import EmptyRefinement
 
@@ -126,7 +125,7 @@ def test_candidates_come_in_the_order_of_the_suffix_rule():
 
 def test_domino_direct_enumeration():
     states = ((1, 2), (2, 1), (2, 2))
-    got = set(domino_transitions(states))
+    got = set(abstraction_of(states, 2).transitions)
     expected = {
         (v, w) for v in states for w in states if v[1:] == w[:-1]
     }
@@ -142,12 +141,12 @@ def test_domino_direct_enumeration():
 
 def test_domino_l1_complete():
     states = ((1,), (2,), (3,))
-    assert len(domino_transitions(states)) == 9
+    assert len(abstraction_of(states, 1).transitions) == 9
 
 
 def test_mixed_transitions_prefix_rule():
     states = ((1, 1, 2), (1, 2), (2,))
-    got = set(mixed_transitions(states))
+    got = set(abstraction_of(states, 3).transitions)
     assert ((1, 1, 2), (1, 2)) in got  # suffix (1,2) matches word (1,2)
     assert ((1, 2), (2,)) in got
     assert ((2,), (1, 1, 2)) in got  # empty suffix is compatible with anything
@@ -171,8 +170,9 @@ def pairwise_mixed_transitions(states):
 )
 def test_mixed_transitions_match_the_pairwise_rule(states):
     states = tuple(sorted(states))
-    assert mixed_transitions(states) == pairwise_mixed_transitions(states)
-    assert spelled_out(states, index_edges(states)) == mixed_transitions(states)
+    model = abstraction_of(states, max(map(len, states), default=0))
+    assert model.transitions == pairwise_mixed_transitions(states)
+    assert spelled_out(states, index_edges(states)) == model.transitions
 
 
 def spelled_out(states, edges):
@@ -180,12 +180,12 @@ def spelled_out(states, edges):
     return tuple((states[u], states[v]) for u, v in zip(*(ends.tolist() for ends in edges)))
 
 
-def assert_index_form_matches(model, rule):
-    """The abstraction's index edges spell out `rule`'s word pairs, and the
-    pairwise rule's, in order, and its graph is the one built edge by edge
-    from Fractions."""
-    rule_pairs = pairwise_mixed_transitions(model.states)
-    assert spelled_out(model.states, model.edges) == rule == rule_pairs == model.transitions
+def assert_index_form_matches(model):
+    """The abstraction's index edges spell out the pairwise rule's word
+    pairs, in order, and its graph is the one built edge by edge from
+    Fractions."""
+    rule = pairwise_mixed_transitions(model.states)
+    assert spelled_out(model.states, model.edges) == rule == model.transitions
     idx = {w: i for i, w in enumerate(model.states)}
     ref = WeightedGraph(
         labels=model.states, edges=tuple((idx[u], idx[v], Fraction(u[0])) for u, v in rule)
@@ -204,7 +204,8 @@ def test_every_full_depth_is_the_domino_rule_as_index_arrays():
     oracle, model = ArcOracle(disc), None
     for l in range(1, 9):
         model = build_l_complete(disc, oracle, l, prev=model)
-        assert_index_form_matches(model, domino_transitions(model.states))
+        assert {len(w) for w in model.states} == {l}  # the domino rule's uniform length
+        assert_index_form_matches(model)
 
 
 def test_every_targeted_depth_is_the_mixed_rule_as_index_arrays(monkeypatch):
@@ -217,7 +218,7 @@ def test_every_targeted_depth_is_the_mixed_rule_as_index_arrays(monkeypatch):
     monkeypatch.undo()
     assert len(seen) > 2 and len({len(w) for w in seen[-1].states}) > 1  # mixed lengths
     for model in seen:
-        assert_index_form_matches(model, mixed_transitions(model.states))
+        assert_index_form_matches(model)
 
 
 def test_targeted_refinement_sequence():

@@ -12,7 +12,6 @@ from saist import ConeSystem
 from saist.decider import (
     certified_negative_definite,
     decide_sphere_bnb,
-    s_procedure_certificate,
     s_procedure_certificates,
 )
 
@@ -84,7 +83,7 @@ def test_cone_containing_a_point_gets_no_certificate(seed, n, m):
     c, x = cone_containing_a_point(np.random.default_rng(seed), n, m)
     assert all(exact_value(x, P) > 0 if s > 0
                else exact_value(x, P) <= 0 for P, s in zip(c.mats, c.signs))
-    assert s_procedure_certificate(c) is None
+    assert s_procedure_certificates([c])[0] is None
 
 
 @SETTINGS
@@ -97,7 +96,7 @@ def test_cone_containing_a_point_gets_no_certificate(seed, n, m):
 def test_certified_cone_has_no_points(seed, n, m, scale):
     rng = np.random.default_rng(seed)
     c = cone_with_a_certificate(rng, n, m, scale)
-    tau = s_procedure_certificate(c)
+    tau = s_procedure_certificates([c])[0]
     assume(tau is not None)
     assert np.all(tau >= 0) and tau.sum() > 0
     assert certified(tau, c) and fraction_negative_definite(tau, c)
@@ -145,7 +144,7 @@ def test_certificate_found_on_a_plainly_empty_cone():
         [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -2.0]), np.diag([0.5, 0.5, 3.0])],
         [1.0, 1.0, -1.0],
     )
-    tau = s_procedure_certificate(c)
+    tau = s_procedure_certificates([c])[0]
     assert tau is not None and certified(tau, c) and fraction_negative_definite(tau, c)
 
 

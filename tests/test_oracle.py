@@ -140,7 +140,6 @@ def disc():
 def no_certificate(monkeypatch):
     """Every certificate fails, so a pool miss reaches the engine."""
     monkeypatch.setattr(oracle_module, "s_procedure_certificates", lambda cones: [None] * len(cones))
-    monkeypatch.setattr(oracle_module, "s_procedure_certificate", lambda cone: None)
 
 
 def test_a_planar_plant_is_refused():

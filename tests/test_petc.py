@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from saist import (
     simulate,
     trace,
 )
-from saist.errors import ConfigError
+from saist.errors import ConfigError, NonFiniteMatrix, NonFiniteState
 
 
 def system_2d(sigma=0.5, h=0.05, kbar=20):
@@ -94,6 +96,30 @@ def test_kappa_zero_state_is_kbar():
     assert kappa(disc, np.zeros(2)) == disc.kbar
 
 
+def unit(t):
+    return np.array([math.cos(t), math.sin(t)])
+
+
+def boundary_states(disc, grid=64):
+    """Unit states on either side of each zero of x'N(k)x, k < kbar, on the
+    half circle, bisected until the two sides are adjacent floats in angle."""
+
+    def fires(N, t):
+        return unit(t) @ N @ unit(t) > 0.0
+
+    out = []
+    for N in disc.N[:-1]:
+        ts = np.linspace(0.0, math.pi, grid + 1).tolist()
+        for a, b in zip(ts, ts[1:]):
+            if fires(N, a) == fires(N, b):
+                continue
+            while a < 0.5 * (a + b) < b:
+                m = 0.5 * (a + b)
+                a, b = (m, b) if fires(N, m) == fires(N, a) else (a, m)
+            out.extend(unit(t) for t in (a, b))
+    return out
+
+
 def test_simulate_consistent_with_kappa():
     disc = discretize(system_2d())
     rng = np.random.default_rng(2)
@@ -105,6 +131,53 @@ def test_simulate_consistent_with_kappa():
         assert traj.ists[i] == k
         x = disc.M[k - 1] @ x
         np.testing.assert_allclose(traj.states[i + 1], x, rtol=1e-9, atol=1e-12)
+    # on the trigger boundaries kappa, simulate and trace take one scan
+    disc = discretize(system_2d(sigma=0.3))
+    states = boundary_states(disc)
+    assert len(states) >= 20
+    for x in states:
+        assert kappa(disc, x) == simulate(disc, x, 1).ists[0] == trace(disc, x, 1)[0]
+
+
+def test_discretize_of_an_overflowing_plant_raises():
+    # M(1) = e^800 I is past the float64 range
+    sys = PetcSystem(
+        A=800.0 * np.eye(2), BK=np.zeros((2, 2)), Qtrig=relative_error_trigger(0.5, 2), h=1.0, kbar=3
+    )
+    with pytest.raises(NonFiniteMatrix, match=r"M\(1\)"):
+        discretize(sys)
+
+
+def test_a_diverging_simulation_names_its_sample():
+    # kbar = 1 and M(1) ~ 1e150 I: |x_2| ~ 1e300, and x_3 overflows
+    sys = PetcSystem(
+        A=150.0 * math.log(10.0) * np.eye(2),
+        BK=np.zeros((2, 2)),
+        Qtrig=relative_error_trigger(0.5, 2),
+        h=1.0,
+        kbar=1,
+    )
+    disc = discretize(sys)
+    x0 = np.array([1.0, 0.0])
+    assert simulate(disc, x0, 2).ists.tolist() == [1, 1]
+    with pytest.raises(NonFiniteState, match="at sample 3$"):
+        simulate(disc, x0, 5)
+    assert trace(disc, x0, 5) == (1,) * 5  # renormalised, it stays finite
+
+
+def test_kappa_of_a_non_finite_state_raises():
+    disc = discretize(system_2d())
+    for bad in (np.array([np.nan, 1.0]), np.array([np.inf, 0.0])):
+        with pytest.raises(NonFiniteState):
+            kappa(disc, bad)
+
+
+def test_zero_steps_raise():
+    disc = discretize(system_2d())
+    with pytest.raises(ConfigError):
+        simulate(disc, np.array([1.0, 0.0]), 0)
+    with pytest.raises(ConfigError):
+        trace(disc, np.array([1.0, 0.0]), 0)
 
 
 def test_trace_homogeneous():
