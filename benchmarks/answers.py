@@ -1,21 +1,25 @@
-"""Print two digests of saist's answer per benchmark system.
+"""Print three digests of saist's answer per benchmark system.
 
     PYTHONPATH=src python3 benchmarks/answers.py [--criterion3]
 
-Each line is a system's name, the SHA-256 of its answer and the SHA-256 of
-its counters.  The answer is the JSON of `to_json_dict(include_timing=False)`
-with every iteration's `oracle` block left out, plus the abstraction's DOT
-text and the verified power; the counters are those `oracle` blocks, in
-order.  The systems are the eight of `perfbench/workloads.py`;
-`--criterion3` adds the 3-D sigma = 0.8, 0.5 and 0.4 targeted runs of
-acceptance criterion 3 and the two bounds-only systems run deep in full
-mode: the jet to l = 120 and 2-D sigma = 0.1 to l = 100.  Two
-checkouts give the same answers when the first two columns of their
-outputs `diff` clean, e.g.
+Each line is a system's name and the SHA-256 of its answer, of its witness
+and of its counters.  The answer is the JSON of
+`to_json_dict(include_timing=False)` with `witness_basis` and every
+iteration's `oracle` block left out, plus the abstraction's DOT text and the
+verified power; the witness is `witness_basis` at full precision, so a
+last-bit change in the floats moves that column alone; the counters are the
+`oracle` blocks, in order.  The systems are the eight of
+`perfbench/workloads.py`; `--criterion3` adds the 3-D sigma = 0.8, 0.5 and
+0.4 targeted runs of acceptance criterion 3 and the two bounds-only systems
+run deep in full mode: the jet to l = 120 and 2-D sigma = 0.1 to l = 100.
+Two checkouts give the same answers when the name and answer columns of
+their outputs `diff` clean, the same counters when the name and counter
+columns do, e.g.
 
     diff <(cut -d' ' -f1,2 old.txt) <(cut -d' ' -f1,2 new.txt)
+    diff <(cut -d' ' -f1,4 old.txt) <(cut -d' ' -f1,4 new.txt)
 
-and the same counters when the whole lines do.
+and the same witnesses, to the last bit, when the whole lines do.
 """
 
 import argparse
@@ -37,11 +41,13 @@ def sha(blob):
 
 
 def digests(report):
-    """(answer, counters): the report without timings or oracle blocks, its
-    DOT text and its power; then the oracle blocks."""
+    """(answer, witness, counters): the report without timings, witness or
+    oracle blocks, with its DOT text and its power; the witness basis; then
+    the oracle blocks."""
     answer = report.to_json_dict(include_timing=False)
+    witness = answer.pop("witness_basis")
     counters = [it.pop("oracle") for it in answer["iterations"]]
-    return sha({"report": answer, "dot": report.dot, "power": report.power}), sha(counters)
+    return sha({"report": answer, "dot": report.dot, "power": report.power}), sha(witness), sha(counters)
 
 
 def systems(criterion3):

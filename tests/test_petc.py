@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import saist
 
 from saist import (
     PetcSystem,
@@ -14,6 +19,7 @@ from saist import (
     trace,
 )
 from saist.errors import ConfigError, NonFiniteMatrix, NonFiniteState
+from saist.petc import _expm
 
 
 def system_2d(sigma=0.5, h=0.05, kbar=20):
@@ -43,19 +49,76 @@ def test_discretize_matches_series_oracle():
         np.testing.assert_allclose(disc.M[k - 1], expected, rtol=1e-12, atol=1e-12)
 
 
+def augmented(plant):
+    """The augmented generator [[A, BK], [0, 0]] * h of a plant."""
+    n = plant.n
+    G = np.zeros((2 * n, 2 * n))
+    G[:n, :n] = plant.A * plant.h
+    G[:n, n:] = plant.BK * plant.h
+    return G
+
+
 def test_discretize_augmented_semigroup():
     # the augmented [[A, BK], [0, 0]] exponential is a semigroup in k, so
     # M(k1 + k2) is recoverable from the two shorter exponentials
-    from scipy.linalg import expm
+    expm = pytest.importorskip("scipy.linalg").expm
 
     sys = system_2d()
     n = sys.n
-    G = np.zeros((2 * n, 2 * n))
-    G[:n, :n] = sys.A * sys.h
-    G[:n, n:] = sys.BK * sys.h
+    G = augmented(sys)
     disc = discretize(sys)
     E = expm(G * 3) @ expm(G * 4)
     np.testing.assert_allclose(disc.M[6], E[:n, :n] + E[:n, n:], atol=1e-12)
+
+
+def test_expm_closed_forms():
+    d = np.array([-3.0, 0.0, 0.5, 40.0])
+    np.testing.assert_allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-13, atol=0.0)
+    J = np.diag([1.0, 1.0, 1.0], k=1)  # nilpotent: e^J = I + J + J^2/2 + J^3/6
+    expected = np.array([[1, 1, 1 / 2, 1 / 6], [0, 1, 1, 1 / 2], [0, 0, 1, 1], [0, 0, 0, 1]])
+    np.testing.assert_allclose(_expm(J), expected, rtol=1e-15, atol=0.0)
+    for t in (0.3, 2.0, -7.5):
+        R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        np.testing.assert_allclose(_expm(t * np.array([[0.0, -1.0], [1.0, 0.0]])), R, atol=1e-14)
+    # each matrix of a stack has its own scaling: halving the diagonal one as
+    # often as 1e6 J needs (21 times) would cost it about 1e-10
+    stack = _expm(np.stack([np.diag(d), 1e6 * J]))
+    np.testing.assert_allclose(stack[0], np.diag(np.exp(d)), rtol=1e-13, atol=0.0)
+
+
+def test_expm_scales_past_the_exponent_range():
+    # a 1-norm of 1e308 needs s = 1025 halvings; 2.0**1025 is inf, so dividing
+    # by it would give Y = 0 and e^X = I
+    X = np.diag([-1e308, -1e308])
+    assert np.frexp(1e308)[1] + 1 > 1023
+    np.testing.assert_array_equal(_expm(X), np.zeros((2, 2)))
+    np.testing.assert_allclose(_expm(np.stack([X, np.zeros((2, 2))]))[1], np.eye(2))
+
+
+def test_expm_matches_scipy_on_the_benchmark_plants():
+    from test_acceptance import sys_2d, sys_3d, sys_jet
+
+    expm = pytest.importorskip("scipy.linalg").expm
+    for plant in (sys_2d(0.5), sys_3d(0.4), sys_jet()):  # the benchmark's three plants
+        stack = augmented(plant) * np.arange(1.0, plant.kbar + 1)[:, None, None]
+        ours = _expm(stack)
+        for X, E in zip(stack, ours):
+            ref = expm(X)
+            assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_saist_runs_without_scipy():
+    src = os.path.dirname(os.path.dirname(saist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, saist\n"
+        "plant = {'A': [[0.0, 1.0], [-2.0, 3.0]], 'B': [[0.0], [1.0]], 'K': [[0.0, -5.0]],\n"
+        "         'trigger': {'type': 'relative_error', 'sigma': 0.5}, 'h': 0.05, 'kbar': 20}\n"
+        "print(saist.compute_saist(saist.parse_config(plant, l_max=12)).status)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split()[-1] == "False"
 
 
 def test_trigger_form_matches_direct_evaluation():
@@ -139,6 +202,7 @@ def test_simulate_consistent_with_kappa():
         assert kappa(disc, x) == simulate(disc, x, 1).ists[0] == trace(disc, x, 1)[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the typed error is the only report
 def test_discretize_of_an_overflowing_plant_raises():
     # M(1) = e^800 I is past the float64 range
     sys = PetcSystem(
@@ -148,6 +212,7 @@ def test_discretize_of_an_overflowing_plant_raises():
         discretize(sys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the typed error is the only report
 def test_a_diverging_simulation_names_its_sample():
     # kbar = 1 and M(1) ~ 1e150 I: |x_2| ~ 1e300, and x_3 overflows
     sys = PetcSystem(
@@ -163,6 +228,18 @@ def test_a_diverging_simulation_names_its_sample():
     with pytest.raises(NonFiniteState, match="at sample 3$"):
         simulate(disc, x0, 5)
     assert trace(disc, x0, 5) == (1,) * 5  # renormalised, it stays finite
+
+
+def test_non_finite_plant_data_is_rejected():
+    good = system_2d()
+    for bad in (np.nan, np.inf):
+        for field in ("A", "BK", "Qtrig"):
+            data = {f: getattr(good, f).copy() for f in ("A", "BK", "Qtrig")}
+            data[field][0, 0] = bad
+            with pytest.raises(ConfigError, match="finite"):
+                PetcSystem(**data, h=good.h, kbar=good.kbar)
+        with pytest.raises(ConfigError, match="finite"):
+            PetcSystem(A=good.A, BK=good.BK, Qtrig=good.Qtrig, h=bad, kbar=good.kbar)
 
 
 def test_kappa_of_a_non_finite_state_raises():
